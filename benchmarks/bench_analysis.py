@@ -57,18 +57,18 @@ def test_analysis_cold_vs_warm(benchmark, emit):
     dict_seconds, dict_fixpoints, dict_tables = _classify_suite(
         cfgs, engine="dict", cache="off")
     vector_seconds, vector_fixpoints, vector_tables = _classify_suite(
-        cfgs, engine="vector", cache="off")
+        cfgs, engine="batch", cache="off")
     assert vector_tables == dict_tables  # engines agree exactly
     assert vector_fixpoints < dict_fixpoints
 
     # -- cold + store, then the benchmarked warm rerun ----------------
     cache = str(CACHE_DIR)
     cold_seconds, cold_fixpoints, cold_tables = _classify_suite(
-        cfgs, engine="vector", cache=cache)
+        cfgs, engine="batch", cache=cache)
     assert cold_fixpoints == vector_fixpoints
 
     def warm():
-        return _classify_suite(cfgs, engine="vector", cache=cache)
+        return _classify_suite(cfgs, engine="batch", cache=cache)
 
     warm_seconds_run, warm_fixpoints, warm_tables = \
         benchmark.pedantic(warm, rounds=3, iterations=1)

@@ -3,9 +3,11 @@
 Measures the tentpole property of the geometry-batched engine: a cold
 sweep over the **full default 16-geometry grid** runs ONE stacked
 Must/May fixpoint pair per (benchmark, line size) — ≥ 8× fewer
-fixpoints than the per-geometry ``vector`` oracle (16 geometries fall
-into 2 line-size groups) — while the sweep report stays byte-identical
-and the cold classify stage finishes ≥ 2× faster in wall clock.
+fixpoints than classifying one geometry at a time (one
+``grouped_analysis`` call per geometry with a one-element group; 16
+geometries fall into 2 line-size groups) — while the sweep report
+stays byte-identical to the ``dict`` oracle's and the cold classify
+stage finishes ≥ 2× faster in wall clock.
 Exports the machine-readable ``BENCH_geometry_batch.json`` under
 ``benchmarks/results/``.
 
@@ -20,10 +22,9 @@ import pathlib
 import shutil
 import time
 
-from repro.analysis import CacheAnalysis
 from repro.analysis.classify import ENGINE_ENV
 from repro.analysis.geometry_batch import grouped_analysis
-from repro.pipeline.stages import SUITE_MECHANISMS, required_classifications
+from repro.pipeline.stages import SUITE_MECHANISMS
 from repro.pwcet import EstimatorConfig
 from repro.suite import load
 from repro.sweep import format_sweep_report, geometry_grid, run_sweep
@@ -38,27 +39,25 @@ CACHE_ROOT = pathlib.Path(__file__).parent / ".solvecache" / "bench_geometry"
 SUBSET = ("nsichneu", "fibcall", "ud", "adpcm")
 
 
-def _classify_everything(cfg, groups, engine):
-    """One benchmark's whole cold classification work, grid-wide."""
-    for group in groups:
-        if engine == "batch":
-            grouped_analysis(cfg, group, SUITE_MECHANISMS, cache="off")
-            continue
-        for geometry in group:
-            analysis = CacheAnalysis(cfg, geometry, cache="off",
-                                     engine=engine)
-            assocs, needs_srb = required_classifications(
-                SUITE_MECHANISMS, geometry.ways)
-            for assoc in assocs:
-                analysis.classification(assoc)
-            if needs_srb:
-                analysis.srb_always_hits()
+def _classify_everything(cfg, groups, stacked):
+    """One benchmark's whole cold classification work, grid-wide.
+
+    ``stacked`` classifies each line-size group in one call; otherwise
+    every geometry is its own one-element group.  Returns the
+    fixpoints run.
+    """
+    batches = groups if stacked else [(geometry,) for group in groups
+                                      for geometry in group]
+    return sum(grouped_analysis(cfg, batch, SUITE_MECHANISMS,
+                                cache="off", engine="batch"
+                                ).stats.fixpoints_run
+               for batch in batches)
 
 
-def _classify_stage_seconds(cfgs, groups, engine):
+def _classify_stage_seconds(cfgs, groups, stacked):
     start = time.perf_counter()
     for cfg in cfgs:
-        _classify_everything(cfg, groups, engine)
+        _classify_everything(cfg, groups, stacked)
     return time.perf_counter() - start
 
 
@@ -88,25 +87,26 @@ def test_geometry_batched_classification(benchmark, emit):
     # engines time the same post-memo work, then take the best of
     # three rounds each to damp scheduler noise.
     cfgs = [load(name).cfg for name in SUBSET]
-    for engine in ("vector", "batch"):
-        _classify_stage_seconds(cfgs, groups, engine)
-    vector_seconds = min(_classify_stage_seconds(cfgs, groups, "vector")
-                         for _ in range(3))
+    for stacked in (False, True):
+        _classify_stage_seconds(cfgs, groups, stacked)
+    per_geometry_seconds = min(
+        _classify_stage_seconds(cfgs, groups, False) for _ in range(3))
     benchmark.pedantic(_classify_stage_seconds,
-                       args=(cfgs, groups, "batch"),
+                       args=(cfgs, groups, True),
                        rounds=3, iterations=1)
     batch_seconds = min(benchmark.stats.stats.data)
+    per_geometry_fixpoints = sum(
+        _classify_everything(cfg, groups, False) for cfg in cfgs)
 
-    # --- full cold sweeps under both engines: fixpoint budget and
-    # byte-identity of the report.
+    # --- full cold sweeps under the batch engine and the dict oracle:
+    # fixpoint budget and byte-identity of the report.
     batched = _cold_sweep(geometries, "batch")
-    vector = _cold_sweep(geometries, "vector")
+    oracle = _cold_sweep(geometries, "dict")
     batch_fixpoints = int(batched.solver_totals["fixpoints_run"])
-    vector_fixpoints = int(vector.solver_totals["fixpoints_run"])
-    assert format_sweep_report(batched) == format_sweep_report(vector)
+    assert format_sweep_report(batched) == format_sweep_report(oracle)
     # <= 1 stacked pair (+ 1 shared SRB) per (benchmark, line size).
     assert batch_fixpoints <= len(SUBSET) * len(groups) * 3
-    assert vector_fixpoints >= 8 * batch_fixpoints
+    assert per_geometry_fixpoints >= 8 * batch_fixpoints
 
     # Warm rerun of the batched store: still zero fixpoints and ILPs.
     previous = os.environ.get(ENGINE_ENV)
@@ -128,12 +128,12 @@ def test_geometry_batched_classification(benchmark, emit):
         "benchmarks": list(SUBSET),
         "grid_geometries": len(geometries),
         "line_size_groups": len(groups),
-        "classify_vector_seconds": vector_seconds,
+        "classify_per_geometry_seconds": per_geometry_seconds,
         "classify_batch_seconds": batch_seconds,
-        "classify_speedup": vector_seconds / batch_seconds,
-        "cold_fixpoints_vector": vector_fixpoints,
+        "classify_speedup": per_geometry_seconds / batch_seconds,
+        "cold_fixpoints_per_geometry": per_geometry_fixpoints,
         "cold_fixpoints_batch": batch_fixpoints,
-        "fixpoint_reduction": vector_fixpoints / batch_fixpoints,
+        "fixpoint_reduction": per_geometry_fixpoints / batch_fixpoints,
         "classify_batched_rows":
             int(batched.solver_totals["classify_batched_rows"]),
         "geometry_group_runs":

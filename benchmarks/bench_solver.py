@@ -69,8 +69,7 @@ def test_relaxation_gap_table(benchmark, emit):
 
 
 _COUNTER_KEYS = ("requests", "ilp_solved", "lp_solved", "dedup_hits",
-                 "store_hits", "pruned_empty", "pruned_structural",
-                 "pruned_relaxation")
+                 "store_hits", "pruned_empty", "pruned_structural")
 
 
 def _run_pipeline(names, *, planned: bool):
@@ -125,11 +124,9 @@ def test_planner_end_to_end_stats(benchmark, emit):
         "lp_solved": int(stats["lp_solved"]),
         "ilp_pruned": int(stats["pruned_empty"]
                           + stats["pruned_structural"]
-                          + stats["pruned_relaxation"]
                           + stats["dedup_hits"]),
         "pruned_empty": int(stats["pruned_empty"]),
         "pruned_structural": int(stats["pruned_structural"]),
-        "pruned_relaxation": int(stats["pruned_relaxation"]),
         "dedup_hits": int(stats["dedup_hits"]),
         "dedup_hit_rate": stats["dedup_hits"] / max(
             1, stats["requests"] - stats["pruned_empty"]),

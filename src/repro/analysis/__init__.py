@@ -24,7 +24,7 @@ from repro.analysis.persistence import PersistenceAnalysis
 from repro.analysis.classify import (AnalysisStats, CacheAnalysis,
                                      ClassificationTable)
 from repro.analysis.store import ClassificationStore
-from repro.analysis.vectorized import AgeVectorEngine
+from repro.analysis.vectorized import StackedAgeVectorEngine
 
 __all__ = [
     "Chmc",
@@ -39,5 +39,5 @@ __all__ = [
     "CacheAnalysis",
     "ClassificationTable",
     "ClassificationStore",
-    "AgeVectorEngine",
+    "StackedAgeVectorEngine",
 ]

@@ -5,22 +5,19 @@ requested associativity (the fault-aware pipeline needs every value
 from ``W`` down to ``0``), with the priority of the paper: always-hit
 beats first-miss beats always-miss beats not-classified.
 
-Three engines compute the underlying Must/May verdicts:
+Two engines compute the underlying Must/May verdicts:
 
-* ``"batch"`` (default) — the geometry-batched kernel of
-  :mod:`repro.analysis.geometry_batch`: for a single geometry it
-  behaves exactly like ``vector``; when the sweep hands a classify
-  stage a whole line-size group, ONE stacked Must/May fixpoint pair
-  (plus one shared SRB fixpoint) serves every geometry of the group;
-* ``"vector"`` — the numpy age-vector engine of
+* ``"batch"`` (default) — the numpy age-vector engine of
   :mod:`repro.analysis.vectorized`: one Must and one May fixpoint at
   the nominal associativity answer *every* degraded associativity by
-  age thresholding; kept as the per-geometry oracle for the stacked
-  kernel;
+  age thresholding.  A single geometry runs a one-geometry stack; when
+  the sweep hands a classify stage a whole line-size group
+  (:mod:`repro.analysis.geometry_batch`), ONE stacked fixpoint pair
+  (plus one shared SRB fixpoint) serves every geometry of the group;
 * ``"dict"`` — the classic per-set dict implementation
   (:class:`~repro.analysis.must.MustAnalysis` /
   :class:`~repro.analysis.may.MayAnalysis`), kept as the reference
-  oracle beneath both; it re-runs both fixpoints per associativity.
+  oracle; it re-runs both fixpoints per associativity.
 
 Select with the ``engine`` argument or ``REPRO_ANALYSIS_ENGINE``.
 Results are identical by construction (property-tested in
@@ -45,14 +42,14 @@ from repro.analysis.persistence import PersistenceAnalysis
 from repro.analysis.references import Reference, all_references
 from repro.analysis.store import (ClassificationStore, classification_key,
                                   decode_table, encode_table)
-from repro.analysis.vectorized import AgeVectorEngine
+from repro.analysis.vectorized import StackedAgeVectorEngine, srb_hit_keys
 from repro.cache import CacheGeometry
 from repro.cfg import CFG, LoopForest, find_loops
 from repro.errors import AnalysisError
 
 #: Environment variable selecting the analysis engine.
 ENGINE_ENV = "REPRO_ANALYSIS_ENGINE"
-_ENGINES = ("batch", "vector", "dict")
+_ENGINES = ("batch", "dict")
 
 
 @dataclass
@@ -139,7 +136,7 @@ class CacheAnalysis:
     convention as the solve cache: ``None`` defers to
     ``REPRO_CACHE``, ``"off"`` disables, anything else is a
     directory).  ``engine`` picks the Must/May implementation
-    (``"batch"``/``"vector"``/``"dict"``; default:
+    (``"batch"``/``"dict"``; default:
     ``REPRO_ANALYSIS_ENGINE``, else ``"batch"``).
 
     :func:`~repro.analysis.geometry_batch.grouped_analysis` injects
@@ -252,8 +249,6 @@ class CacheAnalysis:
         """
         if self._srb_hits is not None:
             return self._srb_hits
-        srb_geometry = CacheGeometry(
-            sets=1, ways=1, block_bytes=self._geometry.block_bytes)
         key = None
         if self._store is not None:
             # Keyed by the *full* L1 geometry even though the hit set
@@ -278,15 +273,8 @@ class CacheAnalysis:
             # store traffic matches the per-geometry path exactly.
             hit_keys = list(self._srb_supplier())
         elif self._engine_name != "dict":
-            references = all_references(self._cfg, srb_geometry)
-            engine = AgeVectorEngine(self._cfg, srb_geometry, references)
-            hit_keys = [
-                reference.key
-                for block_id, refs in references.items()
-                for reference, hit in zip(
-                    refs, engine.guaranteed_hits(block_id, 1))
-                if hit]
-            self.stats.fixpoints_run += engine.fixpoints_run
+            hit_keys = srb_hit_keys(self._cfg, self._geometry.block_bytes,
+                                    self.stats)
         else:
             from repro.reliability.srb_analysis import \
                 srb_always_hit_references
@@ -417,8 +405,9 @@ class CacheAnalysis:
         associativity after that is pure array thresholding.
         """
         if self._vector is None:
-            self._vector = AgeVectorEngine(self._cfg, self._geometry,
-                                           self._references)
+            self._vector = StackedAgeVectorEngine(
+                self._cfg, (self._geometry,),
+                {self._geometry: self._references})
         engine = self._vector
         before = engine.fixpoints_run
 

@@ -1,8 +1,8 @@
 """May analysis: which fetches are guaranteed cache misses.
 
-Dict-based *reference oracle*, like :mod:`repro.analysis.must`; the
-production path is the vectorised engine of
-:mod:`repro.analysis.vectorized`.
+Part of the ``dict`` *reference oracle*, like
+:mod:`repro.analysis.must`; the production ``batch`` engine is the
+age-vector engine of :mod:`repro.analysis.vectorized`.
 """
 
 from __future__ import annotations

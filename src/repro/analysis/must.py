@@ -1,10 +1,12 @@
 """Must analysis: which fetches are guaranteed cache hits.
 
-This is the dict-based *reference oracle*: one fixpoint per requested
-associativity over per-set ``{block: age}`` states.  The production
-path is the vectorised engine (:mod:`repro.analysis.vectorized`),
-which answers every associativity from a single fixpoint; the two are
-asserted equivalent by ``tests/test_analysis_vectorized.py``.
+Of the two analysis engines this is the ``dict`` one, the *reference
+oracle*: one fixpoint per requested associativity over per-set
+``{block: age}`` states.  The production ``batch`` engine
+(:mod:`repro.analysis.vectorized`) answers every associativity — and
+every geometry of a line-size group — from a single fixpoint; the two
+are asserted equivalent by ``tests/test_analysis_vectorized.py`` and
+``tests/test_geometry_batch.py``.
 """
 
 from __future__ import annotations

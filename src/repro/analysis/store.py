@@ -30,7 +30,7 @@ import os
 
 from repro.analysis.chmc import (ALWAYS_HIT, ALWAYS_MISS, NOT_CLASSIFIED,
                                  Chmc, Classification)
-from repro.solve.store import ShardedStore, SolveStore, attach_remote
+from repro.solve.store import ShardedStore
 
 #: Bump on ANY change to the table encoding or the key derivation.
 CLASSIFY_SCHEMA_VERSION = 1
@@ -96,79 +96,17 @@ def decode_table(value: object) -> dict[int, tuple[Classification, ...]] | None:
         return None
 
 
-#: Handles memoised per resolved root, like the solve store's.
-_RESOLVED: dict[str, "ClassificationStore"] = {}
-
-
 class ClassificationStore(ShardedStore):
     """Disk-backed map of classification keys to JSON documents.
 
     The shard lifecycle (checksummed append-only JSONL, one shard per
-    writer, corruption-tolerant load) is the shared
-    :class:`~repro.solve.store.ShardedStore`; this class only supplies
-    the single-kind (``"classify"``) index, so concurrent writers —
-    sweep cell workers, suite pool workers — behave exactly like the
-    solve store's.
+    writer, corruption-tolerant load) and the single-kind index are
+    the shared :class:`~repro.solve.store.ShardedStore`'s; this class
+    only names the record kind (``"classify"``) and the shard
+    directory, so concurrent writers — sweep cell workers, suite pool
+    workers — behave exactly like the solve store's.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
-        super().__init__(root, f"classify-v{CLASSIFY_SCHEMA_VERSION}")
-        self._entries: dict[str, object] = {}
-        self.corrupt_skipped = 0
-
-    @classmethod
-    def resolve(cls, override: str | None = None
-                ) -> "ClassificationStore | None":
-        """The store selected by ``override`` or ``REPRO_CACHE``.
-
-        Same convention as :meth:`SolveStore.resolve` — and the same
-        *root*: both stores live side by side under one cache
-        directory.
-        """
-        solve_store = SolveStore.resolve(override)
-        if solve_store is None:
-            return None
-        key = os.path.abspath(solve_store.root)
-        store = _RESOLVED.get(key)
-        if store is None:
-            store = _RESOLVED[key] = cls(solve_store.root)
-        attach_remote(store)
-        return store
-
-    # -- index hooks ---------------------------------------------------
-    def _reset_index(self) -> None:
-        self._entries = {}
-
-    def _index_entry(self, parsed: tuple[str, str, object] | None) -> None:
-        if parsed is None or parsed[0] != "classify":
-            self.corrupt_skipped += 1
-            return
-        _kind, key, value = parsed
-        self._entries[key] = value
-
-    # -- reads / writes ------------------------------------------------
-    def get(self, key: str) -> object | None:
-        self._ensure_loaded()
-        value = self._entries.get(key)
-        if value is None and self.remote is not None:
-            value = self._remote_fetch("classify", key)
-            if value is not None:
-                self._entries[key] = value
-        return value
-
-    def put(self, key: str, value: object) -> None:
-        self._ensure_loaded()
-        # Skip only *identical* entries: if the key is occupied by a
-        # value that failed decoding (checksum-valid but shape-invalid
-        # — e.g. written by a buggy run), the recomputed value must
-        # still be appended so load-time last-wins repairs the store;
-        # otherwise every future run would recompute forever.
-        if self._entries.get(key) == value:
-            return
-        self._entries[key] = value
-        self._append("classify", key, value)
-        self._remote_push("classify", key, value)
-
-    def __len__(self) -> int:
-        self._ensure_loaded()
-        return len(self._entries)
+        super().__init__(root, f"classify-v{CLASSIFY_SCHEMA_VERSION}",
+                         kind="classify")

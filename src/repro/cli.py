@@ -26,9 +26,9 @@ Commands
 
 All estimation commands consult the persistent caches — the three
 stores (solve, classification, cell) share one directory
-(``REPRO_CACHE=off|<path>``, ``--cache``; ``REPRO_SOLVE_CACHE`` is a
-deprecated alias): a warm re-run of any command performs zero backend
-ILP solves and zero abstract-interpretation fixpoints.
+(``REPRO_CACHE=off|<path>``, ``--cache``): a warm re-run of any
+command performs zero backend ILP solves and zero
+abstract-interpretation fixpoints.
 
 ``suite`` and ``sweep`` take resilience knobs: transient worker
 crashes and broken pools are always retried; ``--partial`` completes

@@ -39,7 +39,7 @@ from repro.fmm import FaultMissMap
 from repro.pipeline.artifacts import CELL_SCHEMA_VERSION
 from repro.pwcet.distribution import DiscreteDistribution
 from repro.pwcet.estimator import PWCETEstimate
-from repro.solve.store import ShardedStore, SolveStore, attach_remote
+from repro.solve.store import ShardedStore
 
 
 def _packed(array: np.ndarray, dtype: str) -> str:
@@ -120,68 +120,13 @@ def decode_cell(value: object, *, name: str, mechanism: str,
         return None
 
 
-#: Handles memoised per resolved root, like the sibling stores'.
-_RESOLVED: dict[str, "CellStore"] = {}
-
-
 class CellStore(ShardedStore):
-    """Disk-backed map of cell keys to encoded estimation cells."""
+    """Disk-backed map of cell keys to encoded estimation cells.
+
+    Index, reads and writes are the shared single-kind
+    :class:`~repro.solve.store.ShardedStore`'s (record kind
+    ``"cell"``).
+    """
 
     def __init__(self, root: str | os.PathLike) -> None:
-        super().__init__(root, f"cells-v{CELL_SCHEMA_VERSION}")
-        self._entries: dict[str, object] = {}
-        self.corrupt_skipped = 0
-
-    @classmethod
-    def resolve(cls, override: str | None = None) -> "CellStore | None":
-        """The store selected by ``override`` or ``REPRO_CACHE``.
-
-        Same convention — and same *root* — as
-        :meth:`~repro.solve.store.SolveStore.resolve`: all three stores
-        live side by side under one cache directory.
-        """
-        solve_store = SolveStore.resolve(override)
-        if solve_store is None:
-            return None
-        key = os.path.abspath(solve_store.root)
-        store = _RESOLVED.get(key)
-        if store is None:
-            store = _RESOLVED[key] = cls(solve_store.root)
-        attach_remote(store)
-        return store
-
-    # -- index hooks ---------------------------------------------------
-    def _reset_index(self) -> None:
-        self._entries = {}
-
-    def _index_entry(self, parsed: tuple[str, str, object] | None) -> None:
-        if parsed is None or parsed[0] != "cell":
-            self.corrupt_skipped += 1
-            return
-        _kind, key, value = parsed
-        self._entries[key] = value
-
-    # -- reads / writes ------------------------------------------------
-    def get(self, key: str) -> object | None:
-        self._ensure_loaded()
-        value = self._entries.get(key)
-        if value is None and self.remote is not None:
-            value = self._remote_fetch("cell", key)
-            if value is not None:
-                self._entries[key] = value
-        return value
-
-    def put(self, key: str, value: object) -> None:
-        self._ensure_loaded()
-        # Identical entries are skipped; a decode-failed occupant must
-        # still be overwritten so load-time last-wins repairs the
-        # store (same policy as the classification store).
-        if self._entries.get(key) == value:
-            return
-        self._entries[key] = value
-        self._append("cell", key, value)
-        self._remote_push("cell", key, value)
-
-    def __len__(self) -> int:
-        self._ensure_loaded()
-        return len(self._entries)
+        super().__init__(root, f"cells-v{CELL_SCHEMA_VERSION}", kind="cell")

@@ -53,12 +53,8 @@ affects speed only, never results.
 
 Engine selection mirrors the analysis engine
 (``REPRO_ANALYSIS_ENGINE``): ``REPRO_DISTRIBUTION_ENGINE`` picks
-``batched`` (default), ``scalar`` (the oracle) or ``power`` — an
-opt-in grouping strategy that detects identical per-set penalty rows
-(common: most sets of a benchmark share one FMM pattern) and folds
-each group by multiplicity-aware repeated squaring instead of ``k``
-linear folds.  Power grouping reorders float additions, so it is
-validated within tolerance, not bit-for-bit.
+``batched`` (default, this kernel) or ``scalar`` (the oracle) — one
+production path and one oracle, asserted bit-identical.
 """
 
 from __future__ import annotations
@@ -73,7 +69,7 @@ from repro.pwcet.distribution import DiscreteDistribution
 
 #: Environment variable selecting the distribution engine.
 ENGINE_ENV = "REPRO_DISTRIBUTION_ENGINE"
-_ENGINES = ("batched", "scalar", "power")
+_ENGINES = ("batched", "scalar")
 
 #: Shift-driver sparsity bound — mirrors the oracle's
 #: :meth:`DiscreteDistribution.convolve` exactly; the two constants
@@ -151,8 +147,7 @@ def penalty_distributions(fmm, mechanism, fault_models, sets: int, *,
                         for pmf in pmfs], dtype=np.float64)
     penalties = np.asarray(fmm.rows,
                            dtype=np.int64)[:sets, list(fault_counts)]
-    block = (_fold_power(penalties, weights) if engine == "power"
-             else _fold_structure(penalties, weights))
+    block = _fold_structure(penalties, weights)
     if block is None:  # every set all-zero: identity of convolution
         return [DiscreteDistribution.point_mass(0) for _ in models]
     return _wrap_rows(block)
@@ -390,54 +385,6 @@ def _convolve_pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
             result[value:value + len(right)] += left[value] * right
         return result
     return np.convolve(left, right)
-
-
-# -- power grouping (opt-in, within-tolerance) -------------------------
-def _fold_power(penalties: np.ndarray, weights: np.ndarray
-                ) -> _Block | None:
-    """Fold identical per-set penalty rows by repeated squaring.
-
-    Most benchmarks map many cache sets onto a handful of distinct FMM
-    patterns; a group of ``k`` identical sets contributes the ``k``-th
-    convolution power of one block, computed in ``O(log k)`` folds
-    instead of ``k``.  Squaring reassociates the float sums, so this
-    engine is validated within tolerance against the oracle — opt in
-    via ``REPRO_DISTRIBUTION_ENGINE=power``.
-    """
-    groups: dict[bytes, tuple[_Block, int]] = {}
-    live = 0
-    for penalty_row in penalties:
-        if penalty_row.max() <= 0:
-            continue
-        live += 1
-        signature = penalty_row.tobytes()
-        if signature in groups:
-            block, multiplicity = groups[signature]
-            groups[signature] = (block, multiplicity + 1)
-        else:
-            groups[signature] = (_scatter(penalty_row, weights), 1)
-    if not live:
-        return None
-    powered = [_power(block, multiplicity)
-               for block, multiplicity in groups.values()]
-    order = _fold_order(block.width for block in powered)
-    result = powered[order[0]]
-    for position in order[1:]:
-        result = _fold_any(result, powered[position])
-    return result
-
-
-def _power(block: _Block, exponent: int) -> _Block:
-    """``exponent``-fold self-convolution by binary exponentiation."""
-    result: _Block | None = None
-    base = block
-    while exponent:
-        if exponent & 1:
-            result = base if result is None else _fold_any(result, base)
-        exponent >>= 1
-        if exponent:
-            base = _fold_any(base, base)
-    return result
 
 
 # -- batched tail reads ------------------------------------------------

@@ -69,12 +69,7 @@ class _ServerIndex(ShardedStore):
 
     def __init__(self, root, subdir: str) -> None:
         super().__init__(root, subdir)
-        self._entries: dict[tuple[str, str], object] = {}
-        self.corrupt_skipped = 0
         self._mutex = threading.Lock()
-
-    def _reset_index(self) -> None:
-        self._entries = {}
 
     def _index_entry(self, parsed: tuple[str, str, object] | None) -> None:
         if parsed is None:

@@ -20,10 +20,10 @@ solves from eager calls into *planned* work:
 
 ``planner``
     :class:`SolvePlanner` — dedupes requests by canonical key,
-    prunes FMM columns with monotonicity + a solver-free structural
-    pre-screen (loop-bound products; the LP-relaxation screen remains
-    opt-in), short-circuits empty objectives, batch-solves unique
-    requests across a ``concurrent.futures`` process pool, and keeps
+    prunes FMM columns with monotonicity + one solver-free structural
+    pre-screen (loop-bound products), short-circuits empty
+    objectives, batch-solves unique requests across a
+    ``concurrent.futures`` process pool, and keeps
     :class:`SolveStats` counters for benchmarking.
 
 ``store``

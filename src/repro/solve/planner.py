@@ -14,11 +14,9 @@ polytope) and mediates every objective solved against it:
 * **structural pruning** — FMM rows are non-decreasing in fault count;
   a column whose *structural* upper bound (coefficients times loop
   bound products, no solver involved) cannot exceed the previous
-  column's value is provably equal to it and the ILP is skipped;
-* **LP pre-screen (opt-in)** — the historical LP-relaxation screen is
-  kept behind ``lp_prescreen=True``; it never fires on the paper suite
-  (flow-polytope relaxations carry fractional slack) and costs one LP
-  per miss, so the free structural bound replaced it as the default;
+  column's value is provably equal to it and the ILP is skipped.
+  This is the planner's one pre-screen: it is free, where an
+  LP-relaxation screen would pay one LP per column;
 * **empty short-circuit** — a column with no degradable reference is
   0-penalty and never touches the solver;
 * **batching** — :meth:`SolvePlanner.prime` solves the unique
@@ -61,7 +59,7 @@ class SolveStats:
     requests: int = 0
     #: Integer programs actually handed to the backend.
     ilp_solved: int = 0
-    #: LP relaxations solved (pre-screens plus relaxed-mode solves).
+    #: LP relaxations solved (relaxed-mode solves).
     lp_solved: int = 0
     #: Requests answered from the canonical-objective cache.
     dedup_hits: int = 0
@@ -72,8 +70,6 @@ class SolveStats:
     #: Cells skipped because the structural (loop-bound) upper bound
     #: could not beat the previous column (monotonicity, solver-free).
     pruned_structural: int = 0
-    #: Cells skipped by the opt-in LP-relaxation pre-screen.
-    pruned_relaxation: int = 0
 
     @property
     def dedup_hit_rate(self) -> float:
@@ -95,7 +91,6 @@ class SolveStats:
             "store_hits": self.store_hits,
             "pruned_empty": self.pruned_empty,
             "pruned_structural": self.pruned_structural,
-            "pruned_relaxation": self.pruned_relaxation,
             "dedup_hit_rate": self.dedup_hit_rate,
             "store_hit_rate": self.store_hit_rate,
         }
@@ -104,24 +99,16 @@ class SolveStats:
 class SolvePlanner:
     """Plans every solve against one shared flow polytope."""
 
-    #: Consecutive failed LP pre-screens tolerated before the planner
-    #: stops paying for relaxations on this program (a successful
-    #: prune refills the budget).  Applies only with
-    #: ``lp_prescreen=True``; the structural screen is free and is
-    #: never budgeted.
-    PRESCREEN_MISS_BUDGET = 8
-
     def __init__(self, program: "LinearProgram", *,
                  prescreen: bool = True, dedup: bool = True,
-                 workers: int = 1, lp_prescreen: bool = False,
+                 workers: int = 1,
                  variable_bound: Callable[[int], float] | None = None
                  ) -> None:
         self.program = program
         self.prescreen = prescreen
-        self.lp_prescreen = lp_prescreen
         self.dedup = dedup
         self.workers = workers
-        #: Structural upper bound of one variable (used by the default
+        #: Structural upper bound of one variable (used by the
         #: pre-screen); ``None`` falls back to the program's declared
         #: variable upper bounds.
         self.variable_bound = variable_bound
@@ -135,8 +122,6 @@ class SolvePlanner:
         self._token = uuid.uuid4().hex
         self.stats = SolveStats()
         self._results: dict[object, int] = {}
-        self._relaxed_bounds: dict[object, int] = {}
-        self._screen_budget = self.PRESCREEN_MISS_BUDGET
         #: Keys solved ahead of time by :meth:`prime` (or served by the
         #: store) whose first consumption must not count as a dedup hit.
         self._primed: set[object] = set()
@@ -203,16 +188,6 @@ class SolvePlanner:
         if self.dedup:
             self._results[key] = value
         return value
-
-    def relaxed_bound(self, request: SolveRequest) -> int:
-        """Ceiling of the LP-relaxation optimum (an ILP upper bound)."""
-        key = request.objective
-        if key not in self._relaxed_bounds:
-            solution = self.program.maximize(request.objective_dict(),
-                                             relaxed=True)
-            self.stats.lp_solved += 1
-            self._relaxed_bounds[key] = ceil_bound(solution.objective)
-        return self._relaxed_bounds[key]
 
     def structural_bound(self, request: SolveRequest) -> float:
         """Solver-free upper bound: coefficients times variable bounds.
@@ -314,8 +289,8 @@ class SolvePlanner:
         Columns are fault counts 1..max in order; the returned row is
         prefixed with the mandatory 0-fault column.  The row value is
         ``max(column bound, previous value)`` exactly as the direct
-        path computes it, which is what makes both pre-screens
-        lossless: when an upper bound of the cell cannot exceed the
+        path computes it, which is what makes the structural
+        pre-screen lossless: when an upper bound of the cell cannot exceed the
         previous value, the max is the previous value.
         """
         row = [0]
@@ -341,18 +316,11 @@ class SolvePlanner:
                     self._results[request.key] = value
                 row.append(max(value, previous))
                 continue
-            if self.prescreen and not request.relaxed and previous > 0:
-                if self.structural_bound(request) <= previous:
-                    self.stats.pruned_structural += 1
-                    row.append(previous)
-                    continue
-                if self.lp_prescreen and self._screen_budget > 0:
-                    if self.relaxed_bound(request) <= previous:
-                        self.stats.pruned_relaxation += 1
-                        self._screen_budget = self.PRESCREEN_MISS_BUDGET
-                        row.append(previous)
-                        continue
-                    self._screen_budget -= 1
+            if self.prescreen and not request.relaxed and previous > 0 \
+                    and self.structural_bound(request) <= previous:
+                self.stats.pruned_structural += 1
+                row.append(previous)
+                continue
             value = self._solve_uncached(request)
             self._store_put(request, value)
             if self.dedup:

@@ -24,8 +24,7 @@ Every line carries a CRC-32 of its payload: truncated tails (a killed
 writer), garbage bytes and checksum mismatches are skipped on load and
 simply re-solved, never propagated.
 
-Control knob: ``REPRO_CACHE`` (canonical; ``REPRO_SOLVE_CACHE`` is a
-deprecated alias, honoured with a one-time warning) —
+Control knob: ``REPRO_CACHE`` —
 
 * unset: the default user cache directory
   (``$XDG_CACHE_HOME``/``~/.cache`` ``/repro/solve``);
@@ -48,7 +47,6 @@ import os
 import pathlib
 import time
 import uuid
-import warnings
 import zlib
 from dataclasses import dataclass, field
 
@@ -62,11 +60,6 @@ SCHEMA_VERSION = 1
 #: Environment variable controlling the default store location.
 CACHE_ENV = "REPRO_CACHE"
 
-#: Pre-unification name of :data:`CACHE_ENV`; honoured as a
-#: deprecated alias because the knob has governed all three stores
-#: (not just the solve store) since the classification store landed.
-LEGACY_CACHE_ENV = "REPRO_SOLVE_CACHE"
-
 #: Environment variable selecting a remote shard server (the client
 #: lives in :mod:`repro.remote.client`; the name is defined here so
 #: resolution can check it without importing that module).
@@ -75,26 +68,10 @@ REMOTE_ENV = "REPRO_REMOTE_STORE"
 #: Values of :data:`CACHE_ENV` that disable persistence entirely.
 _OFF_VALUES = frozenset({"off", "0", "none", "disabled"})
 
-_WARNED_LEGACY = False
-
 
 def cache_env_value() -> str | None:
-    """The cache root configured in the environment, if any.
-
-    ``REPRO_CACHE`` is canonical and wins; ``REPRO_SOLVE_CACHE`` is
-    consulted as a deprecated fallback, warning once per process.
-    """
-    global _WARNED_LEGACY
-    value = os.environ.get(CACHE_ENV)
-    if value is not None:
-        return value
-    value = os.environ.get(LEGACY_CACHE_ENV)
-    if value is not None and not _WARNED_LEGACY:
-        _WARNED_LEGACY = True
-        warnings.warn(
-            f"{LEGACY_CACHE_ENV} is deprecated; set {CACHE_ENV} instead",
-            DeprecationWarning, stacklevel=3)
-    return value
+    """The cache root configured in ``REPRO_CACHE``, if any."""
+    return os.environ.get(CACHE_ENV)
 
 
 def attach_remote(store: "ShardedStore") -> "ShardedStore":
@@ -215,28 +192,37 @@ def parse_shard_line(line: str) -> tuple[str, str, object] | None:
     return kind, key, value
 
 
-#: Handles memoised by :meth:`SolveStore.resolve`, keyed by absolute
-#: store directory.  Forked pool workers inherit the open shard file
-#: descriptors, which stays safe because appends are single O_APPEND
-#: writes of whole lines.
-_RESOLVED: dict[str, "SolveStore"] = {}
+#: Handles memoised by the ``resolve`` class methods, keyed by (store
+#: class, absolute store directory).  Forked pool workers inherit the
+#: open shard file descriptors, which stays safe because appends are
+#: single O_APPEND writes of whole lines.
+_RESOLVED: dict[tuple[type, str], "ShardedStore"] = {}
 
 
 class ShardedStore:
     """Shared shard lifecycle of the persistent stores.
 
-    One schema-versioned directory of append-only JSONL shards, one
-    shard per writer process, every line checksummed
+    One schema-versioned directory (``subdir``) of append-only JSONL
+    shards, one shard per writer process, every line checksummed
     (:func:`encode_shard_line` / :func:`parse_shard_line`).  Appends
     are single ``O_APPEND`` writes of whole lines, so concurrent
     writers interleave safely; an unwritable directory degrades to
-    in-memory memoisation.  Subclasses supply the in-memory index via
-    :meth:`_reset_index` / :meth:`_index_entry`.
+    in-memory memoisation.
+
+    The default in-memory index is a single-kind ``key -> JSON
+    document`` map: lines of record kind ``kind`` are indexed (last
+    occurrence wins), any other line counts in
+    :attr:`corrupt_skipped`.  The classification and cell stores use
+    it as is; stores with their own index override the hooks
+    (:meth:`_reset_index` / :meth:`_index_entry`) and the reads and
+    writes.
     """
 
-    def __init__(self, root: str | os.PathLike, subdir: str) -> None:
+    def __init__(self, root: str | os.PathLike, subdir: str,
+                 kind: str | None = None) -> None:
         self.root = pathlib.Path(root)
         self._shard_dir = self.root / subdir
+        self.kind = kind
         self._shard = None  # lazily opened append handle
         self._shard_name: str | None = None
         self._loaded = False
@@ -245,14 +231,67 @@ class ShardedStore:
         #: Optional :class:`~repro.remote.client.RemoteStoreClient`
         #: layered under this store (:func:`attach_remote`).
         self.remote = None
+        self._entries: dict[str, object] = {}
+        #: Lines dropped on load: unreadable, or of a foreign kind.
+        self.corrupt_skipped = 0
 
-    # -- index hooks (subclass responsibility) -------------------------
+    @classmethod
+    def resolve(cls, override: str | None = None) -> "ShardedStore | None":
+        """The store selected by ``override`` or ``REPRO_CACHE``.
+
+        Same convention — and the same *root* — as
+        :meth:`SolveStore.resolve`: every store lives side by side
+        under one cache directory.  Handles are memoised per (store
+        class, resolved root), like the solve store's.
+        """
+        solve_store = SolveStore.resolve(override)
+        if solve_store is None:
+            return None
+        key = (cls, os.path.abspath(solve_store.root))
+        store = _RESOLVED.get(key)
+        if store is None:
+            store = _RESOLVED[key] = cls(solve_store.root)
+        attach_remote(store)
+        return store
+
+    # -- index hooks ---------------------------------------------------
     def _reset_index(self) -> None:
-        raise NotImplementedError
+        self._entries = {}
 
     def _index_entry(self, parsed: tuple[str, str, object] | None) -> None:
         """One validated line (``None`` = corrupt/unreadable)."""
-        raise NotImplementedError
+        if parsed is None or parsed[0] != self.kind:
+            self.corrupt_skipped += 1
+            return
+        _kind, key, value = parsed
+        self._entries[key] = value
+
+    # -- reads / writes ------------------------------------------------
+    def get(self, key: str) -> object | None:
+        self._ensure_loaded()
+        value = self._entries.get(key)
+        if value is None and self.remote is not None:
+            value = self._remote_fetch(self.kind, key)
+            if value is not None:
+                self._entries[key] = value
+        return value
+
+    def put(self, key: str, value: object) -> None:
+        self._ensure_loaded()
+        # Skip only *identical* entries: if the key is occupied by a
+        # value that failed decoding (checksum-valid but shape-invalid
+        # — e.g. written by a buggy run), the recomputed value must
+        # still be appended so load-time last-wins repairs the store;
+        # otherwise every future run would recompute forever.
+        if self._entries.get(key) == value:
+            return
+        self._entries[key] = value
+        self._append(self.kind, key, value)
+        self._remote_push(self.kind, key, value)
+
+    def __len__(self) -> int:
+        self._ensure_loaded()
+        return len(self._entries)
 
     # -- lifecycle -----------------------------------------------------
     def _ensure_loaded(self) -> bool:
@@ -459,9 +498,8 @@ class SolveStore(ShardedStore):
 
         ``override`` follows the same convention as the environment
         variable (``"off"`` disables, anything else is a directory);
-        ``None`` defers to ``REPRO_CACHE`` (or its deprecated alias
-        ``REPRO_SOLVE_CACHE``), and an unset environment selects the
-        default user cache directory.
+        ``None`` defers to ``REPRO_CACHE``, and an unset environment
+        selects the default user cache directory.
 
         Handles are memoised per resolved directory: the hundreds of
         estimators of a suite or sweep share one in-memory index (one
@@ -476,7 +514,7 @@ class SolveStore(ShardedStore):
             return None
         else:
             root = pathlib.Path(value)
-        key = os.path.abspath(root)
+        key = (cls, os.path.abspath(root))
         store = _RESOLVED.get(key)
         if store is None:
             store = _RESOLVED[key] = cls(root)

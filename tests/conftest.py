@@ -23,15 +23,13 @@ def _isolated_solve_cache(tmp_path_factory):
     itself remains exercised end to end.  Tests that need an explicit
     store location still win via ``EstimatorConfig(cache=...)``.
     """
-    from repro.solve.store import CACHE_ENV, LEGACY_CACHE_ENV, REMOTE_ENV
+    from repro.solve.store import CACHE_ENV, REMOTE_ENV
 
-    saved = {name: os.environ.get(name)
-             for name in (CACHE_ENV, LEGACY_CACHE_ENV, REMOTE_ENV)}
+    saved = {name: os.environ.get(name) for name in (CACHE_ENV, REMOTE_ENV)}
     os.environ[CACHE_ENV] = str(tmp_path_factory.mktemp("solvecache"))
     # A remote store inherited from the invoking shell would make
     # every store resolve() reach over the network; the suite must be
     # hermetic (individual remote tests opt back in explicitly).
-    os.environ.pop(LEGACY_CACHE_ENV, None)
     os.environ.pop(REMOTE_ENV, None)
     yield
     for name, value in saved.items():

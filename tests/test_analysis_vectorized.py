@@ -1,11 +1,12 @@
 """Equivalence of the vectorised ACS engine with the dict oracle.
 
-The vectorised engine (:mod:`repro.analysis.vectorized`) must produce
-*identical* Must/May verdicts — and hence identical CHMC tables — to
-the reference dict implementation at **every** associativity, even
-though it runs a single fixpoint pair at the nominal associativity and
-derives the degraded levels by age thresholding.  These are the
-property tests that license making it the default engine.
+The age-vector engine (:mod:`repro.analysis.vectorized`), run as a
+one-geometry stack, must produce *identical* Must/May verdicts — and
+hence identical CHMC tables — to the reference dict implementation at
+**every** associativity, even though it runs a single fixpoint pair
+at the nominal associativity and derives the degraded levels by age
+thresholding.  These are the property tests that license making it
+the default engine.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.analysis import (AgeVectorEngine, CacheAnalysis, MayAnalysis,
-                            MustAnalysis)
+from repro.analysis import (CacheAnalysis, MayAnalysis, MustAnalysis,
+                            StackedAgeVectorEngine)
 from repro.analysis.references import all_references
 from repro.cache import CacheGeometry
 from repro.errors import AnalysisError
@@ -35,9 +36,14 @@ GEOMETRIES = (
 _suppress = [HealthCheck.too_slow]
 
 
+def one_geometry_engine(cfg, geometry):
+    return StackedAgeVectorEngine(
+        cfg, (geometry,), {geometry: all_references(cfg, geometry)})
+
+
 def assert_tables_identical(cfg, geometry):
     """Vector and dict tables must match reference for reference."""
-    vector = CacheAnalysis(cfg, geometry, cache="off", engine="vector")
+    vector = CacheAnalysis(cfg, geometry, cache="off", engine="batch")
     oracle = CacheAnalysis(cfg, geometry, cache="off", engine="dict")
     for assoc in range(geometry.ways + 1):
         vector_table = vector.classification(assoc)
@@ -55,8 +61,7 @@ def assert_verdicts_identical(cfg, geometry):
     Sharper than table equality: a persistence scope can mask a May
     disagreement inside a first-miss classification.
     """
-    references = all_references(cfg, geometry)
-    engine = AgeVectorEngine(cfg, geometry, references)
+    engine = one_geometry_engine(cfg, geometry)
     for assoc in range(1, geometry.ways + 1):
         must = MustAnalysis(cfg, geometry, assoc)
         may = MayAnalysis(cfg, geometry, assoc)
@@ -104,7 +109,7 @@ class TestRandomProgramEquivalence:
         compiled = compile_program(program)
         geometry = GEOMETRIES[0]
         analysis = CacheAnalysis(compiled.cfg, geometry, cache="off",
-                                 engine="vector")
+                                 engine="batch")
         assert analysis.srb_always_hits() == \
             srb_always_hit_references(compiled.cfg, geometry)
 
@@ -122,7 +127,7 @@ class TestSuiteEquivalence:
         cfg = load("crc").cfg
         geometry = GEOMETRIES[2]
         analysis = CacheAnalysis(cfg, geometry, cache="off",
-                                 engine="vector")
+                                 engine="batch")
         assert analysis.srb_always_hits() == \
             srb_always_hit_references(cfg, geometry)
 
@@ -131,7 +136,7 @@ class TestEngineMechanics:
     def test_one_fixpoint_pair_serves_all_associativities(self):
         cfg = load("crc").cfg
         analysis = CacheAnalysis(cfg, GEOMETRIES[2], cache="off",
-                                 engine="vector")
+                                 engine="batch")
         for assoc in range(GEOMETRIES[2].ways, -1, -1):
             analysis.classification(assoc)
         # Must + May once; the dict oracle would need 2 per level.
@@ -152,51 +157,24 @@ class TestEngineMechanics:
         monkeypatch.setenv(ENGINE_ENV, "dict")
         assert CacheAnalysis(cfg, GEOMETRIES[0],
                              cache="off").engine_name == "dict"
-        monkeypatch.setenv(ENGINE_ENV, "vector")
+        monkeypatch.setenv(ENGINE_ENV, "batch")
         assert CacheAnalysis(cfg, GEOMETRIES[0],
-                             cache="off").engine_name == "vector"
+                             cache="off").engine_name == "batch"
         monkeypatch.delenv(ENGINE_ENV)
         assert CacheAnalysis(cfg, GEOMETRIES[0],
                              cache="off").engine_name == "batch"
 
     def test_unknown_engine_rejected(self):
         cfg = load("fibcall").cfg
-        with pytest.raises(AnalysisError):
-            CacheAnalysis(cfg, GEOMETRIES[0], cache="off",
-                          engine="quantum")
+        # "vector" was the retired per-geometry age engine.
+        for engine in ("quantum", "vector"):
+            with pytest.raises(AnalysisError):
+                CacheAnalysis(cfg, GEOMETRIES[0], cache="off",
+                              engine=engine)
 
     def test_ages_use_compact_dtype(self):
         cfg = load("fibcall").cfg
-        geometry = GEOMETRIES[0]
-        engine = AgeVectorEngine(cfg, geometry,
-                                 all_references(cfg, geometry))
+        engine = one_geometry_engine(cfg, GEOMETRIES[0])
         ages = engine.must_ages()
         assert all(block.dtype == np.int8 for block in ages.values())
 
-
-class TestPerSetEarlyExit:
-    """The segmented worklist: converged sets leave the fixpoint early."""
-
-    def test_converged_segments_are_blanked(self):
-        """On a multi-set suite benchmark some sets converge before
-        others, so the engine must skip segment-visits — while the
-        resulting tables stay equal to the dict oracle's (covered by
-        the equivalence suites above)."""
-        cfg = load("crc").cfg
-        geometry = CacheGeometry.from_size(1024, 4, 16)
-        engine = AgeVectorEngine(cfg, geometry,
-                                 all_references(cfg, geometry))
-        engine.must_ages()
-        engine.may_ages()
-        assert engine.segments_blanked > 0
-
-    def test_single_set_geometry_has_nothing_to_blank(self):
-        """With one cache set there is a single segment: every visit
-        is a full visit and the early exit never fires."""
-        cfg = load("fibcall").cfg
-        geometry = CacheGeometry(sets=1, ways=4, block_bytes=16)
-        engine = AgeVectorEngine(cfg, geometry,
-                                 all_references(cfg, geometry))
-        engine.must_ages()
-        engine.may_ages()
-        assert engine.segments_blanked == 0

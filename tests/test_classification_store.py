@@ -231,15 +231,15 @@ class TestWarmAnalysis:
 
     def test_engines_share_store_entries(self, tmp_path):
         """Keys are engine-independent: results are identical by
-        contract, so a dict-engine run warms the vector engine too."""
+        contract, so a dict-engine run warms the batch engine too."""
         cache = str(tmp_path / "store")
         cfg = load("fibcall").cfg
         oracle = CacheAnalysis(cfg, GEOMETRY, cache=cache, engine="dict")
         oracle.classification(4)
-        vector = CacheAnalysis(cfg, GEOMETRY, cache=cache, engine="vector")
-        vector.classification(4)
-        assert vector.stats.fixpoints_run == 0
-        assert vector.stats.classify_store_hits == 1
+        batch = CacheAnalysis(cfg, GEOMETRY, cache=cache, engine="batch")
+        batch.classification(4)
+        assert batch.stats.fixpoints_run == 0
+        assert batch.stats.classify_store_hits == 1
 
     def test_cache_off_disables_persistence(self):
         cfg = load("fibcall").cfg

@@ -142,23 +142,17 @@ class TestStageTimeoutParsing:
 
 
 class TestCacheEnvAlias:
-    def test_legacy_env_is_honoured_with_one_warning(self, monkeypatch,
-                                                     tmp_path):
+    def test_legacy_env_is_ignored(self, monkeypatch, tmp_path):
+        """``REPRO_SOLVE_CACHE``, the knob's retired pre-unification
+        name, selects nothing: only ``REPRO_CACHE`` is read."""
         from repro.solve import store as store_module
 
         monkeypatch.delenv(store_module.CACHE_ENV, raising=False)
-        monkeypatch.setenv(store_module.LEGACY_CACHE_ENV,
-                           str(tmp_path / "legacy"))
-        monkeypatch.setattr(store_module, "_WARNED_LEGACY", False)
-        with pytest.warns(DeprecationWarning, match="REPRO_SOLVE_CACHE"):
-            assert store_module.cache_env_value() == \
-                str(tmp_path / "legacy")
-        # Once per process, not once per resolve.
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert store_module.cache_env_value() == \
-                str(tmp_path / "legacy")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.setenv("REPRO_SOLVE_CACHE", str(tmp_path / "legacy"))
+        assert store_module.cache_env_value() is None
+        store = store_module.SolveStore.resolve()
+        assert store.root == tmp_path / "xdg" / "repro" / "solve"
 
     def test_canonical_env_wins_silently(self, monkeypatch, tmp_path):
         import warnings
@@ -167,9 +161,7 @@ class TestCacheEnvAlias:
 
         monkeypatch.setenv(store_module.CACHE_ENV,
                            str(tmp_path / "canonical"))
-        monkeypatch.setenv(store_module.LEGACY_CACHE_ENV,
-                           str(tmp_path / "legacy"))
-        monkeypatch.setattr(store_module, "_WARNED_LEGACY", False)
+        monkeypatch.setenv("REPRO_SOLVE_CACHE", str(tmp_path / "legacy"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert store_module.cache_env_value() == \

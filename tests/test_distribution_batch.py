@@ -87,26 +87,6 @@ class TestBatchedOracleIdentity:
             assert batch_row.quantile_exceedance(TARGET) == \
                 scalar_row.quantile_exceedance(TARGET)
 
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(case=fmm_cases())
-    def test_power_grouping_within_tolerance(self, case):
-        """Repeated squaring reorders float adds — tolerance, not bits."""
-        fmm, mechanism_name, pfails = case
-        mechanism = mechanism_by_name(mechanism_name)
-        sets = fmm.geometry.sets
-        models = [FaultProbabilityModel(geometry=fmm.geometry,
-                                        pfail=pfail) for pfail in pfails]
-        power = penalty_distributions(fmm, mechanism, models, sets,
-                                      engine="power")
-        scalar = _scalar_rows(fmm, mechanism, models, sets)
-        for power_row, scalar_row in zip(power, scalar):
-            assert len(power_row.pmf) == len(scalar_row.pmf)
-            assert np.allclose(power_row.pmf, scalar_row.pmf,
-                               rtol=1e-9, atol=0.0)
-            assert np.allclose(power_row.ccdf(), scalar_row.ccdf(),
-                               rtol=1e-9, atol=1e-300)
-
 
 class TestDegenerateShapes:
     GEOMETRY = CacheGeometry(sets=4, ways=2, block_bytes=16)
@@ -171,11 +151,13 @@ class TestEngineSelection:
 
     def test_override_beats_environment(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "scalar")
-        assert selected_engine("power") == "power"
+        assert selected_engine("batched") == "batched"
 
     def test_unknown_engine_raises(self):
-        with pytest.raises(DistributionError):
-            selected_engine("fft")
+        # "power" was the retired repeated-squaring engine.
+        for engine in ("fft", "power"):
+            with pytest.raises(DistributionError):
+                selected_engine(engine)
 
 
 class TestFaultPmfMemo:

@@ -1,23 +1,20 @@
-"""The stacked geometry-batch kernel vs the per-geometry oracles.
+"""The stacked geometry-batch kernel vs the per-geometry dict oracle.
 
-The stacked engine (:mod:`repro.analysis.geometry_batch`) must be
-byte-identical to running one :class:`AgeVectorEngine` per geometry —
-recorded ages, verdicts at every associativity and CHMC tables — which
-in turn is property-tested against the dict oracle.  These are the
-tests that license making ``batch`` the default engine and wiring the
-sweep's geometry axis through it.
+Every geometry of a stack (:mod:`repro.analysis.vectorized`, wired by
+:mod:`repro.analysis.geometry_batch`) must reproduce the dict oracle's
+Must/May verdicts at every associativity and its CHMC tables.  These
+are the tests that license making ``batch`` the default engine and
+wiring the sweep's geometry axis through it.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.analysis import AgeVectorEngine, CacheAnalysis
-from repro.analysis.geometry_batch import (GroupSrbHits,
-                                           StackedAgeVectorEngine,
-                                           grouped_analysis)
+from repro.analysis import (CacheAnalysis, MayAnalysis, MustAnalysis,
+                            StackedAgeVectorEngine)
+from repro.analysis.geometry_batch import GroupSrbHits, grouped_analysis
 from repro.analysis.references import all_references
 from repro.cache import CacheGeometry
 from repro.errors import AnalysisError
@@ -46,30 +43,25 @@ def _groups(geometries):
 
 
 def assert_stack_matches_solo(cfg, group):
-    """Stacked ages and verdicts == one AgeVectorEngine per geometry."""
+    """Stacked verdicts == the dict oracle's, per geometry and level."""
     references = {geometry: all_references(cfg, geometry)
                   for geometry in group}
     stack = StackedAgeVectorEngine(cfg, group, references)
     for position, geometry in enumerate(group):
         view = stack.geometry_slice(position)
-        solo = AgeVectorEngine(cfg, geometry, references[geometry])
-        for block_id in references[geometry]:
-            assert np.array_equal(view.must_ages()[block_id],
-                                  solo.must_ages()[block_id])
-            assert np.array_equal(view.may_ages()[block_id],
-                                  solo.may_ages()[block_id])
-            for assoc in range(1, geometry.ways + 1):
-                assert np.array_equal(
-                    view.guaranteed_hits(block_id, assoc),
-                    solo.guaranteed_hits(block_id, assoc))
-                assert np.array_equal(
-                    view.possibly_cached(block_id, assoc),
-                    solo.possibly_cached(block_id, assoc))
+        for assoc in range(1, geometry.ways + 1):
+            must = MustAnalysis(cfg, geometry, assoc)
+            may = MayAnalysis(cfg, geometry, assoc)
+            for block_id in references[geometry]:
+                assert view.guaranteed_hits(block_id, assoc).tolist() \
+                    == list(must.guaranteed_hits(block_id))
+                assert view.possibly_cached(block_id, assoc).tolist() \
+                    == list(may.possibly_cached(block_id))
     assert stack.fixpoints_run == 2
 
 
 def assert_tables_identical(cfg, group):
-    """grouped_analysis tables == per-geometry vector and dict tables."""
+    """Stacked-engine tables == per-geometry dict tables."""
     references = {geometry: all_references(cfg, geometry)
                   for geometry in group}
     stack = StackedAgeVectorEngine(cfg, group, references)
@@ -77,19 +69,17 @@ def assert_tables_identical(cfg, group):
         batch = CacheAnalysis(cfg, geometry, cache="off", engine="batch",
                               references=references[geometry],
                               vector_engine=stack.geometry_slice(position))
-        vector = CacheAnalysis(cfg, geometry, cache="off", engine="vector")
         oracle = CacheAnalysis(cfg, geometry, cache="off", engine="dict")
         for assoc in range(geometry.ways, -1, -1):
             expected = oracle.classification(assoc)
-            for via in (batch, vector):
-                table = via.classification(assoc)
-                for block_id in cfg.block_ids():
-                    assert table.of_block(block_id) \
-                        == expected.of_block(block_id)
+            table = batch.classification(assoc)
+            for block_id in cfg.block_ids():
+                assert table.of_block(block_id) \
+                    == expected.of_block(block_id)
 
 
 class TestStackedEngineEquivalence:
-    """Property tests: stacked == per-geometry at every layer."""
+    """Property tests: stacked == the per-geometry oracle."""
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=_suppress)
@@ -111,19 +101,6 @@ class TestStackedEngineEquivalence:
         cfg = load(name).cfg
         for group in _groups(geometry_grid()):
             assert_stack_matches_solo(cfg, group)
-
-    def test_single_geometry_stack_matches_plain_engine(self):
-        cfg = load("fibcall").cfg
-        geometry = SMALL_GROUP[0]
-        references = {geometry: all_references(cfg, geometry)}
-        stack = StackedAgeVectorEngine(cfg, (geometry,), references)
-        solo = AgeVectorEngine(cfg, geometry, references[geometry])
-        view = stack.geometry_slice(0)
-        for block_id in references[geometry]:
-            assert np.array_equal(view.must_ages()[block_id],
-                                  solo.must_ages()[block_id])
-            assert np.array_equal(view.may_ages()[block_id],
-                                  solo.may_ages()[block_id])
 
     def test_mixed_line_sizes_rejected(self):
         cfg = load("fibcall").cfg
@@ -159,18 +136,18 @@ class TestGroupedAnalysis:
         assert analysis.stats.geometry_groups == 1
 
     def test_vector_engine_runs_per_geometry_orchestration(self):
-        """Same orchestration under the oracle: counters except
+        """Same orchestration under the dict oracle: counters except
         fixpoints identical (the engine knob selects only the kernel)."""
         cfg = load("bs").cfg
         batched = grouped_analysis(cfg, SMALL_GROUP, SUITE_MECHANISMS,
                                    cache="off")
-        vector = grouped_analysis(cfg, SMALL_GROUP, SUITE_MECHANISMS,
-                                  cache="off", engine="vector")
+        oracle = grouped_analysis(cfg, SMALL_GROUP, SUITE_MECHANISMS,
+                                  cache="off", engine="dict")
         batch_dict = batched.stats.as_dict()
-        vector_dict = vector.stats.as_dict()
+        oracle_dict = oracle.stats.as_dict()
         assert batch_dict.pop("fixpoints_run") \
-            < vector_dict.pop("fixpoints_run")
-        assert batch_dict == vector_dict
+            < oracle_dict.pop("fixpoints_run")
+        assert batch_dict == oracle_dict
 
     def test_group_prefills_sibling_store_entries(self, tmp_path):
         """Sibling geometries' tables land under their own keys: a
@@ -197,6 +174,6 @@ class TestGroupedAnalysis:
         stats = AnalysisStats()
         shared = GroupSrbHits(cfg, 16, stats)()
         solo = CacheAnalysis(cfg, SMALL_GROUP[0], cache="off",
-                             engine="vector")
+                             engine="dict")
         assert frozenset(shared) == solo.srb_always_hits()
         assert stats.fixpoints_run == 1

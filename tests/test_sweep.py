@@ -194,10 +194,11 @@ class TestParallelSweep:
                                                   cell_workers):
         """The geometry-batched kernel changes no output byte.
 
-        Two line-size groups, so ``cell_workers=4`` exercises the
-        parallel group fan-out.  Only the physical fixpoint count may
-        differ between the engines — the batching orchestration (store
-        traffic, prefilled siblings, tables) is engine-independent.
+        Compared against the dict oracle.  Two line-size groups, so
+        ``cell_workers=4`` exercises the parallel group fan-out.  Only
+        the physical fixpoint count may differ between the engines —
+        the batching orchestration (store traffic, prefilled siblings,
+        tables) is engine-independent.
         """
         from repro.analysis.classify import ENGINE_ENV
 
@@ -210,21 +211,22 @@ class TestParallelSweep:
             geometries,
             config=EstimatorConfig(cache=str(tmp_path / "batch")),
             **kwargs)
-        monkeypatch.setenv(ENGINE_ENV, "vector")
-        vector = run_sweep(
+        monkeypatch.setenv(ENGINE_ENV, "dict")
+        oracle = run_sweep(
             geometries,
-            config=EstimatorConfig(cache=str(tmp_path / "vector")),
+            config=EstimatorConfig(cache=str(tmp_path / "dict")),
             **kwargs)
         assert format_sweep_report(batched) == \
-            format_sweep_report(vector)
-        assert batched.points == vector.points
+            format_sweep_report(oracle)
+        assert batched.points == oracle.points
         batch_totals = dict(batched.solver_totals)
-        vector_totals = dict(vector.solver_totals)
-        # One stacked pair per (benchmark, group) vs one pair per
-        # (benchmark, geometry): 2x fewer with groups of two.
-        assert batch_totals.pop("fixpoints_run") * 2 == \
-            vector_totals.pop("fixpoints_run")
-        assert batch_totals == vector_totals
+        oracle_totals = dict(oracle.solver_totals)
+        # One stacked pair + one SRB fixpoint per (benchmark, group);
+        # the oracle runs a pair per associativity 1..W plus the SRB
+        # fixpoint per (benchmark, geometry).
+        assert batch_totals.pop("fixpoints_run") == 2 * 2 * 3
+        assert oracle_totals.pop("fixpoints_run") == 2 * 4 * (2 * 2 + 1)
+        assert batch_totals == oracle_totals
         # Each benchmark batched one sibling geometry per group.
         assert batched.solver_totals["classify_batched_rows"] == 2 * 2
         assert batched.solver_totals["geometry_groups"] == 2 * 2
