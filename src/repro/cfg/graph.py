@@ -29,6 +29,8 @@ class CFG:
         self._entry_id: int | None = None
         self._exit_id: int | None = None
         self._next_id = 0
+        #: Memoised :meth:`digest`; every mutator resets it.
+        self._digest: str | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -47,6 +49,7 @@ class CFG:
     def add_block(self, block: BasicBlock) -> None:
         if block.block_id in self._blocks:
             raise CFGStructureError(f"duplicate block id {block.block_id}")
+        self._digest = None
         self._blocks[block.block_id] = block
         self._successors[block.block_id] = []
         self._predecessors[block.block_id] = []
@@ -58,17 +61,20 @@ class CFG:
                                     "unknown block")
         if dst in self._successors[src]:
             raise CFGStructureError(f"duplicate edge ({src}, {dst})")
+        self._digest = None
         self._successors[src].append(dst)
         self._predecessors[dst].append(src)
 
     def set_entry(self, block_id: int) -> None:
         if block_id not in self._blocks:
             raise CFGStructureError(f"unknown entry block {block_id}")
+        self._digest = None
         self._entry_id = block_id
 
     def set_exit(self, block_id: int) -> None:
         if block_id not in self._blocks:
             raise CFGStructureError(f"unknown exit block {block_id}")
+        self._digest = None
         self._exit_id = block_id
 
     # ------------------------------------------------------------------
@@ -137,7 +143,14 @@ class CFG:
         persistent solve cache (:mod:`repro.solve.store`) key solved
         objectives across runs.  Labels are excluded: they are
         diagnostics only.
+
+        Memoised per instance (a sweep asks each CFG hundreds of
+        times); ``add_block``/``add_edge``/``set_entry``/``set_exit``
+        reset the memo; blocks are not edited in place once
+        registered (a built CFG is read-only to the analyses).
         """
+        if self._digest is not None:
+            return self._digest
         import hashlib
 
         hasher = hashlib.sha256()
@@ -154,7 +167,8 @@ class CFG:
                      instruction.target)
         for edge in self.edges():
             feed("edge", edge)
-        return hasher.hexdigest()
+        self._digest = hasher.hexdigest()
+        return self._digest
 
     # ------------------------------------------------------------------
     # Traversals

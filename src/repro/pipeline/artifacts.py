@@ -40,8 +40,9 @@ def _digest(*parts: object) -> str:
 #: stored cell without touching the solve or classification stores.
 #: v2: sparse (width, support, values) pmf encoding — wide suite
 #: distributions are mostly zero, and the dense float list dominated
-#: warm-decode and write-through time.
-CELL_SCHEMA_VERSION = 2
+#: warm-decode and write-through time.  v3: the support travels as
+#: ``(start, end)`` run pairs instead of one int64 per point.
+CELL_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ import time
 import uuid
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 
 from repro.testing import faultinject
 
@@ -138,7 +139,8 @@ class StoreStats:
     writes: int = 0
     #: Entries loaded from shards (after dedup across shards).
     loaded: int = 0
-    #: Lines dropped on load: bad JSON, bad checksum, missing fields.
+    #: Lines dropped on load: bad JSON, bad checksum, missing fields,
+    #: or a value of the wrong shape for its kind.
     corrupt_skipped: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -149,6 +151,27 @@ class StoreStats:
 
 def _checksum(kind: str, key: str, value_text: str) -> int:
     return zlib.crc32(f"{kind}|{key}|{value_text}".encode("utf-8"))
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_solution(value: object) -> bool:
+    """Whether an artefact has the shape of a stored solution: a
+    numeric ``objective`` and a name -> number ``values`` map."""
+    if not isinstance(value, dict):
+        return False
+    values = value.get("values")
+    return (_is_number(value.get("objective"))
+            and isinstance(values, dict)
+            and all(map(_is_number, values.values())))
+
+
+def _line_prefix(checksum: object, kind: str, key: str) -> str:
+    """Everything :func:`encode_shard_line` writes before the value."""
+    return (f'{{"c":{checksum},"k":{_json_string(key)},'
+            f'"t":{_json_string(kind)},"v":')
 
 
 def encode_shard_line(kind: str, key: str, value: object) -> str:
@@ -163,17 +186,24 @@ def encode_shard_line(kind: str, key: str, value: object) -> str:
     """
     value_text = json.dumps(value, sort_keys=True, separators=(",", ":"))
     checksum = _checksum(kind, key, value_text)
-    return (f'{{"c":{checksum},"k":{json.dumps(key)},'
-            f'"t":{json.dumps(kind)},"v":{value_text}}}\n')
+    return f"{_line_prefix(checksum, kind, key)}{value_text}}}\n"
 
 
 def parse_shard_line(line: str) -> tuple[str, str, object] | None:
     """Validate one shard line; ``None`` when unreadable.
 
     The single definition of what counts as a valid line — JSON shape
-    plus CRC-32 over (kind, key, canonical value) — used by the solve
-    store, the classification store and ``repro cache gc``, so the
-    three readers can never drift apart in what they accept.
+    plus CRC-32 over (kind, key, value text) — used by the solve
+    store, the classification store, the cell store, ``repro cache
+    gc`` and the remote client/server, so the readers can never drift
+    apart in what they accept.
+
+    A valid line is laid out exactly as :func:`encode_shard_line`
+    writes it — the layout every writer of the stores has produced —
+    so the value's canonical text sits verbatim in its last slot and
+    the CRC is checked over that raw slice of the line: no re-dump of
+    a value that may be a whole encoded cell.  Any other layout is
+    rejected like a checksum mismatch (the entry is recomputed).
     """
     line = line.strip()
     if not line:
@@ -186,8 +216,9 @@ def parse_shard_line(line: str) -> tuple[str, str, object] | None:
         return None
     if not isinstance(kind, str) or not isinstance(key, str):
         return None
-    value_text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    if checksum != _checksum(kind, key, value_text):
+    prefix = _line_prefix(checksum, kind, key)
+    if (not line.startswith(prefix)
+            or checksum != _checksum(kind, key, line[len(prefix):-1])):
         return None
     return kind, key, value
 
@@ -483,6 +514,12 @@ class SolveStore(ShardedStore):
     batches); ``get_artefact``/``put_artefact`` handle JSON documents
     (the WCET's full solution vector).  All reads go through one lazy
     in-memory index built by scanning every shard once per handle.
+
+    Like a non-integer optimum, an artefact that is not a solution
+    (numeric ``objective``, name -> number ``values``) is dropped on
+    load and counted in ``corrupt_skipped``: the read misses, the
+    caller re-solves, and ``put_artefact`` — which skips only
+    identical values — appends the repair (last write wins).
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -539,7 +576,7 @@ class SolveStore(ShardedStore):
         kind, key, value = parsed
         if kind == "solve" and isinstance(value, int):
             self._values[key] = value
-        elif kind == "artefact":
+        elif kind == "artefact" and _is_solution(value):
             self._artefacts[key] = value
         else:
             self.stats.corrupt_skipped += 1
@@ -564,8 +601,10 @@ class SolveStore(ShardedStore):
         value = self._artefacts.get(key)
         if value is None and self.remote is not None:
             value = self._remote_fetch("artefact", key)
-            if value is not None:
+            if _is_solution(value):
                 self._artefacts[key] = value
+            else:
+                value = None
         if value is None:
             self.stats.misses += 1
         else:
@@ -584,7 +623,7 @@ class SolveStore(ShardedStore):
 
     def put_artefact(self, key: str, value: object) -> None:
         self._ensure_loaded()
-        if key in self._artefacts:
+        if self._artefacts.get(key) == value:
             return
         self._artefacts[key] = value
         if self._append("artefact", key, value):

@@ -32,7 +32,7 @@ Sites and their actions:
 ``store``
     Fires inside :class:`~repro.solve.store.ShardedStore`; ``target``
     is the schema directory name (``v1``, ``classify-v1``,
-    ``cells-v2``) or ``*``.  Actions: ``truncate_tail`` (the append
+    ``cells-v3``) or ``*``.  Actions: ``truncate_tail`` (the append
     becomes a torn half-line write and the shard handle is dropped,
     as a killed writer would leave it), ``read_error`` (the shard
     read pass is skipped, as if the file were unreadable).
@@ -47,7 +47,7 @@ Sites and their actions:
 ``net``
     Fires on the remote-store wire (:mod:`repro.remote`); ``target``
     is the store schema directory (``v1``, ``classify-v1``,
-    ``cells-v2``) or ``*``.  Each action fires on exactly one side so
+    ``cells-v3``) or ``*``.  Each action fires on exactly one side so
     a clause's ordinals count one invocation stream: ``drop`` (the
     client's request fails with a :class:`ConnectionError` before it
     leaves — a dead or unreachable server) and ``delay=<seconds>``
@@ -69,7 +69,7 @@ tests want (inject once, observe the retry succeed).
 
 Example::
 
-    worker:kill@cell_stage#2;store:truncate_tail@cells-v2;solve:delay=0.5@prime
+    worker:kill@cell_stage#2;store:truncate_tail@cells-v3;solve:delay=0.5@prime
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cfg import CFG
+from repro.cfg import CFG, BasicBlock
 from repro.errors import CFGStructureError
 
 
@@ -106,3 +106,27 @@ class TestValidation:
         cfg.set_exit(a.block_id)
         with pytest.raises(CFGStructureError):
             cfg.validate()
+
+
+class TestDigestMemo:
+    """``digest()`` is memoised per instance; every mutator resets it."""
+
+    def test_memoised_digest_equals_a_fresh_build(self):
+        cfg = diamond()
+        assert cfg.digest() == cfg.digest() == diamond().digest()
+
+    def test_every_mutator_resets_the_memo(self):
+        steps = (lambda cfg: cfg.add_block(BasicBlock(4, "extra")),
+                 lambda cfg: cfg.add_edge(1, 4),
+                 lambda cfg: cfg.set_entry(1),
+                 lambda cfg: cfg.set_exit(4))
+        cfg = diamond()
+        seen = [cfg.digest()]
+        for done, step in enumerate(steps, start=1):
+            step(cfg)
+            fresh = diamond()
+            for earlier in steps[:done]:
+                earlier(fresh)
+            assert cfg.digest() == fresh.digest()
+            assert cfg.digest() not in seen
+            seen.append(cfg.digest())

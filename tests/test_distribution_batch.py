@@ -197,8 +197,9 @@ class TestFaultPmfMemo:
 
 
 class TestSparseCellEncoding:
-    """Schema v2: the persisted pmf is (width, packed support, packed
-    values) — base64 of the raw little-endian bytes."""
+    """Schema v3: the persisted pmf is (width, packed support runs,
+    packed values) — base64 of the raw little-endian bytes, the support
+    as half-open ``(start, end)`` run pairs."""
 
     def _cell_value(self):
         from repro.pipeline.cellstore import encode_cell
@@ -209,6 +210,18 @@ class TestSparseCellEncoding:
         estimate = result.estimates["srb"]
         return config, estimate, encode_cell(estimate)
 
+    @staticmethod
+    def _runs(support):
+        """Reference run split: one (start, end) pair per maximal
+        stretch of consecutive support points."""
+        runs = []
+        for point in support.tolist():
+            if runs and runs[-1][1] == point:
+                runs[-1][1] = point + 1
+            else:
+                runs.append([point, point + 1])
+        return np.array(runs, dtype=np.int64).ravel()
+
     def test_roundtrip_is_bitwise(self):
         from repro.pipeline.cellstore import _packed, decode_cell
 
@@ -216,7 +229,8 @@ class TestSparseCellEncoding:
         pmf = estimate.penalty_misses.pmf
         support = np.flatnonzero(pmf)
         assert value["width"] == len(pmf)
-        assert value["support"] == _packed(support, "<i8")
+        assert "support" not in value
+        assert value["runs"] == _packed(self._runs(support), "<i8")
         decoded = decode_cell(value, name="fibcall", mechanism="srb",
                               config=config, pfail=config.pfail)
         assert decoded is not None
@@ -227,19 +241,71 @@ class TestSparseCellEncoding:
         from repro.pipeline.cellstore import _packed, decode_cell
 
         config, estimate, value = self._cell_value()
-        support = np.flatnonzero(estimate.penalty_misses.pmf)
+        runs = self._runs(np.flatnonzero(estimate.penalty_misses.pmf))
+        pairs = runs.reshape(-1, 2)
+        assert len(pairs) >= 2  # the overlap cases below need two runs
+        first, second = pairs[0], pairs[1]
         corruptions = [
             {**value, "width": 1},                        # out of range
-            {**value, "support": _packed(support[::-1], "<i8")},
             {**value, "pmf": value["pmf"][:-8]},          # ragged
-            {**value, "support": _packed(support - 1, "<i8")},
-            {**value, "support": "not base64!"},
+            {**value, "runs": _packed(runs - runs[0] - 1, "<i8")},  # < 0
+            {**value, "runs": "not base64!"},
             {**value, "pmf": None},
+            {**value, "runs": None},
+            # Odd length: a dangling start with no end.
+            {**value, "runs": _packed(runs[:-1], "<i8")},
+            # No runs at all against a non-empty weight array.
+            {**value, "runs": _packed(runs[:0], "<i8")},
+            # Unsorted: the first two runs swapped.
+            {**value, "runs": _packed(np.concatenate(
+                (second, first, pairs[2:].ravel())), "<i8")},
+            # Overlapping: the second run starts inside the first.
+            {**value, "runs": _packed(np.concatenate(
+                (first, [first[1] - 1, second[1]], pairs[2:].ravel())),
+                "<i8")},
+            # An empty (zero-length) run ahead of the real ones.
+            {**value, "runs": _packed(np.concatenate(
+                ([first[0], first[0]], runs)), "<i8")},
+            # An inverted run.
+            {**value, "runs": _packed(np.concatenate(
+                (first[::-1], pairs[1:].ravel())), "<i8")},
+            # Well-formed runs covering one point too many.
+            {**value, "runs": _packed(np.concatenate(
+                (runs[:-1], [runs[-1] + 1])), "<i8")},
+            # Runs past the declared width.
+            {**value, "width": int(runs[-1]) - 1},
         ]
         for corrupt in corruptions:
             assert decode_cell(corrupt, name="fibcall", mechanism="srb",
                                config=config,
                                pfail=config.pfail) is None
+
+    def test_random_sparse_pmfs_roundtrip(self):
+        from repro.pipeline.cellstore import (_packed, decode_cell,
+                                              encode_cell)
+        from repro.pwcet.distribution import DiscreteDistribution
+
+        config, estimate, _value = self._cell_value()
+        rng = np.random.default_rng(20160314)
+        pmfs = [np.array([1.0]),                      # one point at 0
+                np.array([0.0, 0.0, 1.0]),            # one at width-1
+                np.array([0.5, 0.0, 0.0, 0.5])]       # both ends
+        for _ in range(40):
+            width = int(rng.integers(1, 400))
+            pmf = np.where(rng.random(width) < rng.random(),
+                           rng.random(width), 0.0)
+            pmf[width - 1] = rng.random() + 0.01
+            pmfs.append(pmf / pmf.sum())
+        for pmf in pmfs:
+            original = replace(estimate, penalty_misses=DiscreteDistribution(
+                pmf, normalized=False))
+            value = encode_cell(original)
+            assert value["runs"] == _packed(
+                self._runs(np.flatnonzero(pmf)), "<i8")
+            decoded = decode_cell(value, name="fibcall", mechanism="srb",
+                                  config=config, pfail=config.pfail)
+            assert decoded is not None
+            assert decoded.penalty_misses.pmf.tobytes() == pmf.tobytes()
 
 
 class TestPfailAxisPrefill:

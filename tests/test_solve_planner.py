@@ -9,6 +9,12 @@ across all three reliability mechanisms, plus unit-level behaviour of
 the planner and backends.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import CacheAnalysis
@@ -246,3 +252,65 @@ class TestBackends:
         program.maximize({0: 1.0})  # forces a live backend
         clone = pickle.loads(pickle.dumps(program))
         assert clone.maximize({0: 1.0}).rounded_objective() == 5
+
+
+class TestLazyScipy:
+    """scipy is imported at the first real solve, never on import of
+    the CLI nor on a warm run served from the persistent stores."""
+
+    #: Runs ``python -m repro <args>`` in-process (no args: only
+    #: imports the CLI), then prints the loaded scipy modules.
+    SCRIPT = (
+        "import json, runpy, sys\n"
+        "sys.argv[0] = 'repro'\n"
+        "if len(sys.argv) > 1:\n"
+        "    try:\n"
+        "        runpy.run_module('repro', run_name='__main__')\n"
+        "    except SystemExit as exit:\n"
+        "        assert not exit.code, exit.code\n"
+        "else:\n"
+        "    import repro.cli\n"
+        "print(json.dumps(sorted(name for name in sys.modules\n"
+        "                        if name.split('.')[0] == 'scipy')))\n")
+
+    def _run(self, *args: str) -> tuple[str, list[str]]:
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run([sys.executable, "-c", self.SCRIPT, *args],
+                             env=env, capture_output=True, text=True,
+                             cwd=root, check=True)
+        output, _, modules = run.stdout.rstrip("\n").rpartition("\n")
+        return output, json.loads(modules)
+
+    def test_cli_import_and_warm_suite_load_no_scipy(self, tmp_path):
+        assert self._run() == ("", [])
+        cache = str(tmp_path / "store")
+        cold, cold_modules = self._run("suite", "--cache", cache)
+        assert "scipy.optimize" in cold_modules  # the cold run solves
+        warm, warm_modules = self._run("suite", "--cache", cache)
+        assert warm == cold
+        assert warm_modules == []
+
+    def test_scipy_backend_selected_by_environment_still_solves(
+            self, monkeypatch):
+        from repro.solve.backend import selected_backend_name
+
+        def crc_values():
+            estimator = PWCETEstimator(load("crc"),
+                                       EstimatorConfig(cache="off"),
+                                       name="crc")
+            return (estimator.fault_free_wcet(),
+                    estimator.estimate("srb").pwcet(),
+                    estimator.solver_stats.ilp_solved)
+
+        default = crc_values()
+        monkeypatch.setenv("REPRO_SOLVE_BACKEND", "scipy")
+        assert selected_backend_name() == "scipy"
+        solves = []
+        scipy_solve = ScipyBackend._solve
+        monkeypatch.setattr(ScipyBackend, "_solve", lambda *args: (
+            solves.append(args[1]) or scipy_solve(*args)))
+        assert crc_values() == default
+        assert len(solves) == default[2]
+        assert default[:2] == (92301, 762001)  # the golden crc values
+        assert default[2] > 0

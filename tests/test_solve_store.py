@@ -8,6 +8,7 @@ schema versions) must degrade to a re-solve, never to a wrong value.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -16,6 +17,7 @@ import pytest
 
 from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.solve.store import (CACHE_ENV, SCHEMA_VERSION, SolveStore,
+                               encode_shard_line, parse_shard_line,
                                solve_key, store_context)
 from repro.suite import EVALUATED_BENCHMARKS, load
 
@@ -161,6 +163,69 @@ class TestCorruptionRecovery:
             os.chmod(target, 0o755)
 
 
+class TestRawSliceChecksum:
+    """``parse_shard_line`` checks the CRC over the raw value slice of
+    a line laid out as ``encode_shard_line`` writes it, and rejects
+    every other layout."""
+
+    VALUES = (5, 0, -3, 1.5, "text", None, True, [], {},
+              {"objective": 2.0, "values": {"x": 1.0, "b": [1, 2]}},
+              {"pmf": "QUJD", "fmm": [[1, 2], [3]], "wcet": 10})
+
+    def test_canonical_line_is_checked_without_json_dumps(self, monkeypatch):
+        from repro.solve import store as store_module
+        lines = [(value, encode_shard_line("cell", "k" * 64, value))
+                 for value in self.VALUES]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("json.dumps called on a canonical line")
+
+        monkeypatch.setattr(store_module.json, "dumps", forbidden)
+        for value, line in lines:
+            assert parse_shard_line(line) == ("cell", "k" * 64, value)
+
+    def test_tampered_value_with_old_checksum_is_rejected(self):
+        key = solve_key("ctx", [("x", 1.0)], False)
+        for original, forged in ((5, 6), ({"a": 1}, {"a": 2}),
+                                 ("abc", "abd"), ([1, 2], [1, 2, 3])):
+            line = encode_shard_line("solve", key, original)
+            text = json.dumps(original, separators=(",", ":"))
+            tampered = line.replace(
+                text + "}\n", json.dumps(forged, separators=(",", ":"))
+                + "}\n")
+            assert tampered != line
+            assert parse_shard_line(tampered) is None
+
+    def test_other_layouts_are_rejected(self):
+        """Only the encoder's layout is valid: the same entry re-laid
+        out with spaces or another key order fails, checksum intact."""
+        line = encode_shard_line("classify", "0" * 64,
+                                 {"blocks": [[0, [2]]]})
+        entry = json.loads(line)
+        assert parse_shard_line(line) is not None
+        for other in (json.dumps(entry),
+                      json.dumps(dict(reversed(entry.items())),
+                                 separators=(",", ":")),
+                      line.replace('"blocks":[[0,[2]]]',
+                                   '"blocks": [[0, [2]]]')):
+            assert parse_shard_line(other) is None
+
+    def test_truncated_canonical_tail_counts_corrupt(self, tmp_path):
+        store = SolveStore(tmp_path)
+        key = solve_key("ctx", [("x", 1.0)], False)
+        store.put(key, 5)
+        store.close()
+        other = solve_key("ctx", [("y", 1.0)], False)
+        line = encode_shard_line("artefact", other,
+                                 {"objective": 3.0, "values": {"y": 3.0}})
+        with open(_shards(store)[0], "a") as handle:
+            handle.write(line[:len(line) // 2])  # killed writer
+        fresh = SolveStore(tmp_path)
+        assert fresh.get(key) == 5
+        assert fresh.get_artefact(other) is None
+        assert fresh.stats.corrupt_skipped == 1
+
+
 def _concurrent_writer(args) -> int:
     root, writer_id = args
     store = SolveStore(root)
@@ -229,6 +294,51 @@ class TestWarmPipeline:
         assert warm_stats.ilp_solved == 0
         assert warm_stats.lp_solved == 0
         assert warm_stats.store_hits == cold_stats.ilp_solved
+
+    @pytest.mark.parametrize("malformed", (
+        {"objective": 1.0},
+        {"objective": "92301", "values": {}},
+        {"objective": True, "values": {}},
+        {"objective": 1.0, "values": [1.0]},
+        {"objective": 1.0, "values": {"x": "1"}},
+        [1.0, {}],
+    ))
+    def test_malformed_wcet_artefact_is_resolved_and_repaired(
+            self, tmp_path, malformed):
+        """A checksum-valid but malformed solution artefact costs one
+        re-solve, never a crash, and the re-solve repairs the store."""
+        cache = str(tmp_path / "store")
+
+        def wcet_run():
+            SolveStore.resolve(cache).invalidate()  # reread the shards
+            estimator = PWCETEstimator(load("crc"),
+                                       EstimatorConfig(cache=cache),
+                                       name="crc")
+            return estimator.fault_free_wcet(), estimator.solver_stats
+
+        expected, _ = wcet_run()
+        store = SolveStore.resolve(cache)
+        store.close()
+        for shard in _shards(store):
+            lines = []
+            for line in shard.read_text().splitlines(keepends=True):
+                entry = json.loads(line)
+                if entry["t"] == "artefact":
+                    line = encode_shard_line("artefact", entry["k"],
+                                             malformed)
+                lines.append(line)
+            shard.write_text("".join(lines))
+        before = dataclasses.replace(store.stats)
+        wcet, stats = wcet_run()
+        assert wcet == expected
+        assert stats.ilp_solved == 1
+        # Dropped on load, so the store counts no hit the planner
+        # could not use.
+        assert store.stats.corrupt_skipped == before.corrupt_skipped + 1
+        assert store.stats.hits - before.hits == stats.store_hits
+        wcet, stats = wcet_run()
+        assert wcet == expected
+        assert stats.ilp_solved == 0  # the re-solve repaired the entry
 
     def test_cache_off_disables_persistence(self, tmp_path):
         cache = str(tmp_path / "store")
