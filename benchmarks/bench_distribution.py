@@ -32,10 +32,10 @@ import shutil
 import time
 from dataclasses import replace
 
-from repro.experiments.runner import fresh_results, run_suite
 from repro.pipeline import PipelineStats
-from repro.pipeline.stages import SUITE_MECHANISMS
+from repro.pipeline.stages import SUITE_MECHANISMS, suite_pipeline
 from repro.pwcet import EstimatorConfig
+from repro.pwcet.estimator import TARGET_EXCEEDANCE
 from repro.pwcet.batch import ENGINE_ENV
 from repro.solve.backend import selected_backend_name
 from repro.suite import EVALUATED_BENCHMARKS
@@ -51,11 +51,11 @@ CELLS_PER_COLUMN = 3 * len(EVALUATED_BENCHMARKS)
 
 
 def _run_suite(config, *, batch_pfails=None) -> tuple[PipelineStats, float]:
-    with fresh_results():
-        stats = PipelineStats()
-        start = time.perf_counter()
-        run_suite(config, pipeline_stats=stats, batch_pfails=batch_pfails)
-        return stats, time.perf_counter() - start
+    stats = PipelineStats()
+    start = time.perf_counter()
+    suite_pipeline(EVALUATED_BENCHMARKS, config, TARGET_EXCEEDANCE,
+                   stats=stats, batch_pfails=batch_pfails)
+    return stats, time.perf_counter() - start
 
 
 def _cold_cell_seconds(cache: pathlib.Path, engine: str | None,

@@ -39,7 +39,6 @@ HEADLINES = (
     ("distribution", "axis_amortised_speedup_vs_scalar"),
     ("incremental", "warm_speedup"),
     ("incremental", "one_edit_speedup"),
-    ("pipeline", "speedup_vs_barrier"),
     ("analysis", "vector_speedup"),
     ("analysis", "warm_fixpoints"),
     ("solver", "speedup"),

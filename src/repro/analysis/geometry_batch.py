@@ -40,7 +40,7 @@ class BatchedAnalysisStats(AnalysisStats):
     aggregate.  Only batched groups ever instantiate this class, so
     the keys are presence-gated exactly like ``dist_batched_rows``:
     an unbatched benchmark's counter dict stays key-identical to the
-    reference schedule's.
+    fused estimator's summary.
     """
 
     def __init__(self) -> None:

@@ -97,12 +97,10 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 #: Stage names a ``--stage-timeout STAGE=SECONDS`` budget may target —
-#: the stages the DAG builders actually schedule.  A typo'd stage name
-#: must fail loudly: a silently ignored budget would green-light an
-#: unsupervised run.
-_TIMEOUT_STAGES = frozenset({"classify", "solve", "cell", "distribution",
-                             "estimate", "result", "sweep-cell",
-                             "sweep-cells"})
+#: the stages a CLI run puts on the pool, the only tasks a timeout
+#: supervises.  A typo'd or inline-only stage name must fail loudly: a
+#: silently ignored budget would green-light an unsupervised run.
+_TIMEOUT_STAGES = frozenset({"classify", "solve", "cell", "sweep-cells"})
 
 
 def _retry_from(arguments: argparse.Namespace):

@@ -4,12 +4,12 @@ All figure generators need the same per-benchmark artefacts (fault-free
 WCET, the three pWCET estimates); this module computes them once per
 (benchmark, configuration) and caches in process.  Execution goes
 through the unified pipeline (:mod:`repro.pipeline`): every benchmark
-expands into a classification stage and an estimation stage, and
-``run_suite(workers=N)`` runs the whole suite's DAG on one shared
-process pool — solve stages of early benchmarks overlap the
-classification fixpoints of later ones, with no phase barrier and no
-private pool.  Results are bit-identical to the sequential path and
-land in the same cache.
+expands into classify, solve, per-(mechanism, pfail) cell and result
+stages, and ``run_suite(workers=N)`` runs the whole suite's DAG on one
+shared process pool — solve stages of early benchmarks overlap the
+classification fixpoints of later ones, with no private pool.
+Results are bit-identical to the sequential path and land in the
+same cache.
 
 Stats are scoped per pipeline run: each
 :class:`~repro.experiments.runner.BenchmarkResult` snapshots the
@@ -83,15 +83,15 @@ _CACHE: dict[tuple[str, EstimatorConfig, float], BenchmarkResult] = {}
 
 
 def run_benchmark(name: str, config: EstimatorConfig | None = None, *,
-                  target_probability: float = TARGET_EXCEEDANCE,
-                  schedule: str = "cell") -> BenchmarkResult:
+                  target_probability: float = TARGET_EXCEEDANCE
+                  ) -> BenchmarkResult:
     """Full pipeline for one benchmark (memoised per configuration)."""
     if config is None:
         config = EstimatorConfig()
     key = (name, config, target_probability)
     if key not in _CACHE:
         _CACHE[key] = suite_pipeline((name,), config, target_probability,
-                                     workers=1, schedule=schedule)[name]
+                                     workers=1)[name]
     return _CACHE[key]
 
 
@@ -100,32 +100,20 @@ def run_suite(config: EstimatorConfig | None = None, *,
               benchmarks: tuple[str, ...] = EVALUATED_BENCHMARKS,
               workers: int | None = None,
               pipeline_stats: PipelineStats | None = None,
-              schedule: str = "cell",
-              batch_pfails=None,
-              batch_geometries=None,
               strict: bool = True,
               retry: RetryPolicy | None = None
               ) -> list[BenchmarkResult | FailedBenchmark]:
     """Run the whole 25-benchmark suite (Figure 4's input data).
 
     ``workers`` (default: the configuration's ``workers`` field) > 1
-    executes the suite DAG on a shared process pool: classification
-    and estimation stages of different benchmarks interleave freely
-    (only each benchmark's own artifact dependency is enforced), so
-    outputs match the sequential path exactly while no worker idles on
-    another benchmark's fixpoints.  ``pipeline_stats`` scopes the
-    counters of exactly this invocation — benchmarks served from the
-    in-process memo contribute nothing to it.  ``schedule`` selects
-    the cell-granular DAG (default; incremental via the persistent
-    cell store) or the monolithic per-benchmark reference schedule —
-    results are bit-identical either way.  ``batch_pfails``
-    (mechanism → pfail axis; cell schedule only) lets each cell stage
-    prefill its sibling pfail rows through the batched distribution
-    kernel — the sweep's axis amortisation — and ``batch_geometries``
-    (the line-size group of ``config.geometry``; cell schedule only)
-    lets each classify stage prefill its sibling geometries' tables
-    through the geometry-batched stacked kernel; see
-    :func:`~repro.pipeline.stages.benchmark_dag`.
+    executes the suite's cell DAG
+    (:func:`~repro.pipeline.stages.suite_pipeline`) on a shared process
+    pool: stages of different benchmarks interleave freely (only each
+    benchmark's own artifact dependencies are enforced), so outputs
+    match the sequential path exactly while no worker idles on another
+    benchmark's fixpoints.  ``pipeline_stats`` scopes the counters of
+    exactly this invocation — benchmarks served from the in-process
+    memo contribute nothing to it.
 
     Resilience: transient faults (killed workers, broken pools) are
     retried under ``retry`` (default policy) in both modes.  With
@@ -145,9 +133,6 @@ def run_suite(config: EstimatorConfig | None = None, *,
         computed = suite_pipeline(tuple(pending), config,
                                   target_probability,
                                   workers=workers, stats=pipeline_stats,
-                                  schedule=schedule,
-                                  batch_pfails=batch_pfails,
-                                  batch_geometries=batch_geometries,
                                   strict=strict, retry=retry)
         for name in pending:
             value = computed[name]

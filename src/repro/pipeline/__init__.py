@@ -45,8 +45,9 @@ graph instead of a call stack:
 
 The estimator (:mod:`repro.pwcet.estimator`), the suite runner
 (:mod:`repro.experiments.runner`) and the sweep service
-(:mod:`repro.sweep.service`) all execute through this scheduler;
-outputs are bit-identical to the historical phase-barriered paths.
+(:mod:`repro.sweep.service`) all execute through this scheduler; the
+suite/sweep cell DAG is property-tested bit-identical to the fused
+estimator.
 """
 
 from repro.pipeline.artifacts import (CELL_SCHEMA_VERSION, CellArtifact,
@@ -59,8 +60,8 @@ from repro.pipeline.resilience import (DEFAULT_RETRY_POLICY, FailureReport,
 from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
 from repro.pipeline.stages import (SUITE_MECHANISMS, benchmark_dag,
                                    cell_stage, classify_stage,
-                                   estimate_stage, result_stage,
-                                   solve_stage, suite_pipeline)
+                                   result_stage, solve_stage,
+                                   suite_pipeline)
 
 __all__ = [
     "CELL_SCHEMA_VERSION",
@@ -83,7 +84,6 @@ __all__ = [
     "benchmark_dag",
     "cell_stage",
     "classify_stage",
-    "estimate_stage",
     "result_stage",
     "solve_stage",
     "suite_pipeline",

@@ -68,6 +68,19 @@ from repro.pipeline.resilience import (CASCADED, TRANSIENT, FailureReport,
 from repro.testing import faultinject
 
 
+def is_run_counter(key: str) -> bool:
+    """Whether a counter key is per-run work (summed across stages).
+
+    ``fault_pmf_*`` keys snapshot the process-wide fault-pmf memo and
+    ``*_corrupt_skipped`` keys each store handle's cumulative repair
+    count: both describe what ran earlier in the process, not this
+    run, so counter merges drop them — summing them would make
+    ``solver_stats`` depend on process history.
+    """
+    return not key.startswith("fault_pmf_") \
+        and not key.endswith("_corrupt_skipped")
+
+
 @dataclass
 class PipelineStats:
     """Counters of one pipeline run: stage tasks + merged work counters.
@@ -120,18 +133,10 @@ class PipelineStats:
                                      + seconds)
 
     def merge_counters(self, counters: dict[str, float] | None) -> None:
-        """Fold one stage's counter dict in (rates are skipped).
-
-        ``fault_pmf_*`` keys are process-scope memo snapshots, not
-        per-run work — summing them would double-count across stages,
-        so they are dropped (mirrors ``_merged_counters``); likewise
-        the ``*_corrupt_skipped`` store-repair snapshots surfaced by
-        ``stats_summary()``.
-        """
+        """Fold one stage's counter dict in (rates and keys that are
+        not per-run work, see :func:`is_run_counter`, are skipped)."""
         for key, value in (counters or {}).items():
-            if not key.endswith("_rate") \
-                    and not key.endswith("_corrupt_skipped") \
-                    and not key.startswith("fault_pmf_"):
+            if is_run_counter(key) and not key.endswith("_rate"):
                 self.counters[key] = self.counters.get(key, 0) + value
 
     def totals(self) -> dict[str, float]:

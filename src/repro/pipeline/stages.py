@@ -33,28 +33,20 @@ These are the module-level task bodies the
     (cells) → :class:`~repro.experiments.runner.BenchmarkResult`:
     reassembles one benchmark's cells into the paper-facing result.
 
-``estimate_stage``
-    The pre-cell monolithic stage (WCET + FMM + distributions of one
-    benchmark in one task), kept as the per-benchmark reference
-    schedule (``schedule="benchmark"``) that the cell-granular DAG is
-    property-tested bit-identical against.
-
 ``suite_pipeline``
     Builds and runs the benchmark-suite DAG: per benchmark a classify,
     a solve, one cell per (mechanism, pfail) and a result task,
     dependency-chained, all on one shared pool — so solve stages of
     early benchmarks overlap the classification of later ones, and
     small cells backfill workers (or the parent, by work stealing)
-    idling on another benchmark's long ILP batch.  A
-    ``phase_barrier=True`` mode (every estimate waits for *every*
-    classification) exists solely as the benchmarking baseline.
+    idling on another benchmark's long ILP batch.
 
 The stage split is counter-transparent: an artifact-seeded estimator
 performs no classification work and no classification-store traffic,
-and the distribution/estimate work of the cell stages touches no
-counters at all, so the merged per-benchmark counters are identical
-to the historical fused run — which keeps suite and sweep reports
-bit-identical across schedules and worker modes.
+and the distribution work of the cell stages touches no counters at
+all, so the merged per-benchmark counters are identical to the fused
+:class:`~repro.pwcet.PWCETEstimator` run — the oracle the DAG is
+property-tested bit-identical against, in every worker mode.
 """
 
 from __future__ import annotations
@@ -68,7 +60,8 @@ from repro.pipeline.artifacts import (CellArtifact, CfgArtifact,
                                       ClassificationArtifact,
                                       DistributionArtifact)
 from repro.pipeline.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
+from repro.pipeline.scheduler import (PipelineScheduler, PipelineStats,
+                                      is_run_counter)
 from repro.reliability import ReliabilityMechanism, mechanism_by_name
 from repro.solve.store import store_context
 from repro.suite import load
@@ -182,64 +175,20 @@ def classify_stage(name: str, config, mechanisms=SUITE_MECHANISMS,
                                    carry_tables=carry_tables)
 
 
-def estimate_stage(name: str, config, target_probability: float,
-                   estimator_workers: int,
-                   artifact: ClassificationArtifact,
-                   *_barrier_artifacts) -> "object":
-    """Stage task: WCET + FMM + distribution stages of one benchmark.
-
-    ``estimator_workers`` is the per-ILP pool width of the inner
-    estimator: 1 when this stage itself runs on the task pool
-    (task-level parallelism owns the workers — nesting would only add
-    overhead), the configuration's own width when the stage runs
-    inline.  Extra positional artifacts (the ``phase_barrier``
-    benchmarking mode depends on every classification) are ignored;
-    only this benchmark's artifact seeds the estimator.
-    """
-    from repro.experiments.runner import BenchmarkResult
-    from repro.pwcet import PWCETEstimator
-
-    stage_config = replace(config, workers=estimator_workers)
-    if artifact.analysis is not None:
-        # Same-process hand-off: the classify stage's analysis serves
-        # the estimator directly (its stats already include the
-        # classification work, so nothing is merged twice).
-        estimator = PWCETEstimator(artifact.analysis.cfg, stage_config,
-                                   name=name, analysis=artifact.analysis)
-        stage_stats: dict[str, float] = {}
-    else:
-        estimator = PWCETEstimator(load(name), stage_config, name=name)
-        estimator.analysis.preload(artifact.tables, artifact.srb_hits)
-        stage_stats = artifact.stats
-    result = BenchmarkResult(
-        name=name,
-        wcet_fault_free=estimator.fault_free_wcet(),
-        estimates=estimator.estimate_all(),
-        target_probability=target_probability,
-        solver_stats=_merged_counters(estimator.stats_summary(),
-                                      stage_stats))
-    return result
-
-
 def _merged_counters(summary: dict[str, float],
                      stage_stats: dict[str, float]) -> dict[str, float]:
     """Fold a prior stage's counters into an estimator summary.
 
     Count-style keys sum; rate-style keys keep the estimator's value
-    (rates never sum — drivers recompute them from totals).
-    ``fault_pmf_*`` keys are process-scope memo diagnostics, not
-    per-run work counters — including them would make ``solver_stats``
-    depend on what ran earlier in the process, breaking its immutable
-    per-run snapshot semantics, so they are dropped here; the
-    ``*_corrupt_skipped`` store-repair snapshots are handle-cumulative
-    for the same reason and get the same treatment.
+    (rates never sum — drivers recompute them from totals).  Keys that
+    are not per-run work (:func:`~repro.pipeline.scheduler
+    .is_run_counter`) are dropped, keeping ``solver_stats`` an
+    immutable per-run snapshot.
     """
     merged = {key: value for key, value in summary.items()
-              if not key.startswith("fault_pmf_")
-              and not key.endswith("_corrupt_skipped")}
+              if is_run_counter(key)}
     for key, value in stage_stats.items():
-        if not key.endswith("_rate") and not key.startswith("fault_pmf_") \
-                and not key.endswith("_corrupt_skipped"):
+        if is_run_counter(key) and not key.endswith("_rate"):
             merged[key] = merged.get(key, 0) + value
     return merged
 
@@ -287,12 +236,11 @@ def solve_stage(name: str, config, mechanisms, estimator_workers: int,
                 ) -> SolveOutput:
     """Stage task: WCET + FMM solves of one benchmark.
 
-    The solver-facing prefix of the historical ``estimate_stage``:
-    identical store traffic in identical order (WCET first, then each
+    The solver-facing prefix of the fused estimator's run: identical
+    store traffic in identical order (WCET first, then each
     mechanism's FMM), stopping before the distribution work — which
-    the per-(mechanism, pfail) cell stages own in the cell-granular
-    schedule.  ``refresh`` folds sibling workers' shard writes in
-    first (pool mode only).
+    the per-(mechanism, pfail) cell stages own.  ``refresh`` folds
+    sibling workers' shard writes in first (pool mode only).
     """
     from repro.pwcet import PWCETEstimator
 
@@ -396,8 +344,8 @@ def result_stage(name: str, target_probability: float, mechanisms,
     computed cells reference the same dict, counted once here; a
     benchmark served entirely from the store reports the zero
     template.  ``cells_from_store`` is added only when > 0, so a cold
-    result's counter dict is key-identical to the per-benchmark
-    schedule's.
+    result's counter dict is key-identical to the fused estimator's
+    summary.
     """
     from repro.experiments.runner import BenchmarkResult
 
@@ -410,7 +358,7 @@ def result_stage(name: str, target_probability: float, mechanisms,
             counters.get("cells_from_store", 0) + served
     # Sibling pfail rows the batched distribution kernel prefilled;
     # added only when batching happened, so an unbatched result's
-    # counter dict stays key-identical to the reference schedule's.
+    # counter dict stays key-identical to the fused estimator's.
     batched = sum(cell.batched_rows for cell in cells)
     if batched:
         counters["dist_batched_rows"] = \
@@ -538,8 +486,6 @@ def suite_pipeline(benchmarks, config, target_probability: float, *,
                    workers: int = 1,
                    scheduler: PipelineScheduler | None = None,
                    stats: PipelineStats | None = None,
-                   phase_barrier: bool = False,
-                   schedule: str = "cell",
                    mechanisms=SUITE_MECHANISMS,
                    batch_pfails=None,
                    batch_geometries=None,
@@ -561,14 +507,10 @@ def suite_pipeline(benchmarks, config, target_probability: float, *,
     dict instead of aborting the suite; ``strict=True`` re-raises the
     original error after retries are exhausted.
 
-    ``schedule`` selects the DAG shape: ``"cell"`` (default) fans the
-    distribution work out per (mechanism, pfail) cell with plan-pass
-    store probes — a warm rerun satisfies every cell from the store,
-    an edited benchmark recomputes only its own stages; ``"benchmark"``
-    is the monolithic per-benchmark reference schedule (also used by
-    ``phase_barrier``, which is meaningless at cell granularity).
-    ``mechanisms`` restricts the estimated set (cell schedule only —
-    the reference schedule always estimates the paper's three).
+    Each benchmark fans its distribution work out per (mechanism,
+    pfail) cell with plan-pass store probes — a warm rerun satisfies
+    every cell from the store, an edited benchmark recomputes only its
+    own stages.  ``mechanisms`` restricts the estimated set.
     ``batch_pfails`` (mechanism → pfail axis) opts the cell stages
     into the batched distribution kernel's pfail-axis fan-in, and
     ``batch_geometries`` (the line-size group of ``config.geometry``)
@@ -588,49 +530,31 @@ def suite_pipeline(benchmarks, config, target_probability: float, *,
     # per-ILP batches instead (the historical behaviour).
     pool = workers > 1 and len(benchmarks) > 1
     estimator_workers = 1 if pool else config.workers
-    if phase_barrier or schedule == "benchmark":
-        classify_keys = tuple(f"classify:{name}" for name in benchmarks)
-        for name in benchmarks:
-            scheduler.add(f"classify:{name}", classify_stage,
-                          args=(name, config, SUITE_MECHANISMS, pool),
-                          stage="classify", pool=pool)
-            deps = ((f"classify:{name}",) if not phase_barrier
-                    else (f"classify:{name}",) + tuple(
-                        key for key in classify_keys
-                        if key != f"classify:{name}"))
-            scheduler.add(f"estimate:{name}", estimate_stage,
-                          args=(name, config, target_probability,
-                                estimator_workers),
-                          deps=deps, stage="estimate", pool=pool)
-        result_keys = {name: f"estimate:{name}" for name in benchmarks}
-        results = scheduler.run(stats=stats)
-    else:
-        from repro.pipeline.cellstore import CellStore
+    from repro.pipeline.cellstore import CellStore
 
-        cell_store = CellStore.resolve(config.cache)
-        if cell_store is not None:
-            # Cells persisted by pool workers of an earlier run in
-            # this process live in shards the memoised handle has not
-            # seen; fold them in before the plan pass probes.
-            cell_store.refresh()
-        classify_store = None
-        if batch_geometries:
-            from repro.analysis.store import ClassificationStore
+    cell_store = CellStore.resolve(config.cache)
+    if cell_store is not None:
+        # Cells persisted by pool workers of an earlier run in this
+        # process live in shards the memoised handle has not seen;
+        # fold them in before the plan pass probes.
+        cell_store.refresh()
+    classify_store = None
+    if batch_geometries:
+        from repro.analysis.store import ClassificationStore
 
-            classify_store = ClassificationStore.resolve(config.cache)
-            if classify_store is not None:
-                classify_store.refresh()
-        result_keys = {
-            name: benchmark_dag(scheduler, name, config,
-                                target_probability,
-                                mechanisms=mechanisms, pool=pool,
-                                estimator_workers=estimator_workers,
-                                cell_store=cell_store,
-                                batch_pfails=batch_pfails,
-                                batch_geometries=batch_geometries,
-                                classify_store=classify_store)
-            for name in benchmarks}
-        results = scheduler.run(stats=stats)
+        classify_store = ClassificationStore.resolve(config.cache)
+        if classify_store is not None:
+            classify_store.refresh()
+    result_keys = {
+        name: benchmark_dag(scheduler, name, config, target_probability,
+                            mechanisms=mechanisms, pool=pool,
+                            estimator_workers=estimator_workers,
+                            cell_store=cell_store,
+                            batch_pfails=batch_pfails,
+                            batch_geometries=batch_geometries,
+                            classify_store=classify_store)
+        for name in benchmarks}
+    results = scheduler.run(stats=stats)
     suite = {}
     for name in benchmarks:
         result = results[result_keys[name]]

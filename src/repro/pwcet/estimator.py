@@ -251,10 +251,9 @@ class PWCETEstimator:
         ``fault_pmf_*`` pair snapshots the process-wide fault-pmf memo
         (:func:`repro.reliability.mechanism.fault_pmf_cache_stats`) —
         cumulative cache diagnostics, not per-run work, so counter
-        merges skip them (:func:`repro.pipeline.stages
-        ._merged_counters`, :meth:`~repro.pipeline.scheduler
-        .PipelineStats.merge_counters`).  The ``*_corrupt_skipped``
-        triple snapshots each persistent store's silent-repair count
+        merges skip them (:func:`repro.pipeline.scheduler
+        .is_run_counter`).  The ``*_corrupt_skipped`` triple
+        snapshots each persistent store's silent-repair count
         (shard lines dropped as torn/corrupt and recomputed) — same
         handle-cumulative scope, same merge-skip treatment — so store
         repair is observable instead of silent.

@@ -3,17 +3,18 @@
 Runs the full estimation suite for every (geometry, pfail) grid cell,
 aggregates pWCET gain and hardware cost per reliability mechanism, and
 extracts the Pareto-optimal design points.  The heavy lifting reuses
-:func:`repro.experiments.runner.run_suite` and the two persistent
-stores (solve + classification): grid cells that share work — notably
-all cells along the pfail axis of one geometry, which share every ILP
-objective *and* every classification table — are answered from the
-caches instead of recomputed.  The distribution stage goes further:
-penalty points are pfail-*independent*, so the first cell of each
-geometry computes its whole selected pfail axis in one batched kernel
-pass (:func:`repro.pwcet.batch.penalty_distributions`) and prefills
-the persistent cell store — the remaining grid columns are then
-answered whole from their content addresses, never touching solver,
-analysis or convolution again.
+the suite's cell DAG (:func:`repro.pipeline.stages.suite_pipeline`)
+and the two persistent stores (solve + classification): grid cells
+that share work — notably all cells along the pfail axis of one
+geometry, which share every ILP objective *and* every classification
+table — are answered from the caches instead of recomputed.  The
+distribution stage goes further: penalty points are
+pfail-*independent*, so the first cell of each geometry computes its
+whole selected pfail axis in one batched kernel pass
+(:func:`repro.pwcet.batch.penalty_distributions`) and prefills the
+persistent cell store — the remaining grid columns are then answered
+whole from their content addresses, never touching solver, analysis
+or convolution again.
 
 The geometry axis of classification is batched the same way: the
 grid's geometries fall into *line-size groups* (same memory-block
@@ -247,33 +248,25 @@ def _batch_pfails(selection):
 
 
 def _run_cell_suite(cell_config, benchmarks, workers, probability,
-                    mechanisms, schedule, batch_pfails=None,
-                    batch_geometries=None, strict=True, retry=None):
-    """One cell's suite run, memo-bypassing when mechanism-filtered.
+                    mechanisms, batch_pfails, batch_geometries, strict,
+                    retry):
+    """One grid cell's suite run, straight through the pipeline.
 
-    The runner memo keys results by (benchmark, config, probability)
-    only — a subset-mechanism result must never land there, or later
-    full-grid drivers would read estimates with missing mechanisms.
-    Filtered cells therefore go straight to the pipeline.  With
+    The runner's result memo is never consulted: it keys results by
+    (benchmark, config, probability) only, so a subset-mechanism
+    result must never land there, and a memoised result would carry
+    another run's counters into the sweep's totals.  With
     ``strict=False`` failed benchmarks come back as
     :class:`~repro.experiments.runner.FailedBenchmark` entries.
     """
-    from repro.experiments.runner import FailedBenchmark, run_suite
-
-    if tuple(mechanisms) == SUITE_MECHANISMS:
-        return run_suite(cell_config, benchmarks=benchmarks,
-                         workers=workers, target_probability=probability,
-                         schedule=schedule, batch_pfails=batch_pfails,
-                         batch_geometries=batch_geometries,
-                         strict=strict, retry=retry)
+    from repro.experiments.runner import FailedBenchmark
     from repro.pipeline.resilience import TaskFailure
     from repro.pipeline.stages import suite_pipeline
 
     if workers is None:
         workers = cell_config.workers
     computed = suite_pipeline(tuple(benchmarks), cell_config, probability,
-                              workers=workers, schedule=schedule,
-                              mechanisms=mechanisms,
+                              workers=workers, mechanisms=mechanisms,
                               batch_pfails=batch_pfails,
                               batch_geometries=batch_geometries,
                               strict=strict, retry=retry)
@@ -330,24 +323,20 @@ def _run_cell_group(item):
     so no requested worker idles.
     """
     (group, selection, benchmarks, config, probability,
-     inner_workers, schedule, strict, retry) = item
-    from repro.experiments.runner import fresh_results
-
-    batch_pfails = _batch_pfails(selection) if schedule == "cell" else None
-    batch_geometries = group \
-        if schedule == "cell" and len(group) > 1 else None
+     inner_workers, strict, retry) = item
+    batch_pfails = _batch_pfails(selection)
+    batch_geometries = group if len(group) > 1 else None
     cells = []
-    with fresh_results():
-        for geometry in group:
-            for pfail, point_mechanisms in selection.items():
-                cell_config = replace(config, geometry=geometry,
-                                      pfail=pfail, workers=1)
-                results = _run_cell_suite(
-                    cell_config, benchmarks, inner_workers, probability,
-                    _estimation_mechanisms(point_mechanisms), schedule,
-                    batch_pfails, batch_geometries, strict, retry)
-                cells.append((SweepCell(geometry=geometry, pfail=pfail),
-                              results))
+    for geometry in group:
+        for pfail, point_mechanisms in selection.items():
+            cell_config = replace(config, geometry=geometry, pfail=pfail,
+                                  workers=1)
+            results = _run_cell_suite(
+                cell_config, benchmarks, inner_workers, probability,
+                _estimation_mechanisms(point_mechanisms), batch_pfails,
+                batch_geometries, strict, retry)
+            cells.append((SweepCell(geometry=geometry, pfail=pfail),
+                          results))
     return cells
 
 
@@ -359,7 +348,6 @@ def run_sweep(geometries=None, *,
               cell_workers: int = 1,
               on_cell=None,
               only_cells=None,
-              schedule: str = "cell",
               probability: float = TARGET_EXCEEDANCE,
               strict: bool = True,
               retry: RetryPolicy | None = None,
@@ -382,17 +370,15 @@ def run_sweep(geometries=None, *,
     matching (mechanism, pfail) cells: unmatched pfails leave the
     grid, unmatched mechanisms of surviving cells are neither
     estimated nor reported — but every selected point and Pareto front
-    section is bit-identical to the full run's.  ``schedule`` selects
-    the estimation DAG shape per cell (see
-    :func:`~repro.experiments.runner.run_suite`).
+    section is bit-identical to the full run's.
 
-    The sweep runs inside :func:`~repro.experiments.runner
-    .fresh_results`, so its solver totals describe exactly the work it
-    performed — results memoised by earlier drivers in the same
-    process carry *their* planner counters and would otherwise be
-    double-counted.  Cross-run reuse is the persistent stores' job,
-    and that one is exact (store hits are counted by the estimator
-    that makes them).
+    Every cell runs the suite's cell DAG directly, never through the
+    runner's in-process result memo, so the solver totals describe
+    exactly the work the sweep performed — results memoised by other
+    drivers carry *their* planner counters and are neither reused nor
+    overwritten.  Cross-run reuse is the persistent stores' job, and
+    that one is exact (store hits are counted by the stage that makes
+    them).
 
     Resilience: transient faults (killed workers, broken pools) are
     retried under ``retry`` (default policy).  ``strict=False`` keeps
@@ -404,8 +390,7 @@ def run_sweep(geometries=None, *,
     failure ledger and remote-store counters included — so the CLI
     can surface degradation notes for sweeps like it does for suites.
     """
-    from repro.experiments.runner import (FailedBenchmark, fresh_results,
-                                          solver_totals)
+    from repro.experiments.runner import FailedBenchmark, solver_totals
 
     if geometries is None:
         geometries = geometry_grid()
@@ -454,8 +439,7 @@ def run_sweep(geometries=None, *,
             scheduler.add(
                 f"cells:{position}", _run_cell_group,
                 args=((group, selection, benchmarks, config,
-                       probability, inner_workers, schedule, strict,
-                       retry),),
+                       probability, inner_workers, strict, retry),),
                 stage="sweep-cells", pool=True)
 
         def group_done(_key, group_cells, _completed, _total):
@@ -473,22 +457,19 @@ def run_sweep(geometries=None, *,
             workers=1,
             retry=retry if retry is not None else DEFAULT_RETRY_POLICY,
             strict=strict)
-        batch_pfails = (_batch_pfails(selection) if schedule == "cell"
-                        else None)
+        batch_pfails = _batch_pfails(selection)
         for position, cell in enumerate(cells):
             cell_config = replace(config, geometry=cell.geometry,
                                   pfail=cell.pfail)
             cell_group = group_of[cell.geometry]
-            batch_geometries = cell_group \
-                if schedule == "cell" and len(cell_group) > 1 else None
+            batch_geometries = cell_group if len(cell_group) > 1 else None
 
             def run_cell(cell=cell, cell_config=cell_config,
                          batch_geometries=batch_geometries):
                 mechanisms = _estimation_mechanisms(selection[cell.pfail])
                 return (cell, _run_cell_suite(cell_config, benchmarks,
                                               workers, probability,
-                                              mechanisms, schedule,
-                                              batch_pfails,
+                                              mechanisms, batch_pfails,
                                               batch_geometries, strict,
                                               retry))
 
@@ -497,8 +478,7 @@ def run_sweep(geometries=None, *,
         def cell_done(_key, value, _completed, _total):
             finish(*value)
 
-        with fresh_results():
-            scheduler.run(stats=pipeline_stats, on_task=cell_done)
+        scheduler.run(stats=pipeline_stats, on_task=cell_done)
 
     # Deterministic assembly: grid order, regardless of completion order.
     points: list[DesignPoint] = []

@@ -112,6 +112,8 @@ class TestStageTimeoutParsing:
     @pytest.mark.parametrize("spec", [
         "bogus=2",          # unknown stage name
         "Solve=2",          # names are case-sensitive, like the DAG's
+        # stages that never run on the pool, so no timeout applies
+        "estimate=2", "distribution=2", "result=2", "sweep-cell=2",
         "0", "-3", "solve=0", "solve=-1",  # non-positive seconds
         "nan", "inf", "solve=nan",         # non-finite seconds
         "solve=abc", "solve=", "",         # unparsable seconds

@@ -24,7 +24,9 @@ from repro.experiments.runner import (fresh_results, run_benchmark,
 from repro.faults import FaultProbabilityModel
 from repro.fmm import FaultMissMap
 from repro.pipeline.scheduler import PipelineStats
+from repro.pipeline.stages import suite_pipeline
 from repro.pwcet import EstimatorConfig
+from repro.pwcet.estimator import TARGET_EXCEEDANCE
 from repro.pwcet.batch import (ENGINE_ENV, penalty_distribution_scalar,
                                penalty_distributions, selected_engine)
 from repro.reliability import (fault_pmf_cache_stats, mechanism_by_name,
@@ -317,10 +319,9 @@ class TestPfailAxisPrefill:
         sibling_pfail = 5e-4
         axis = (config.pfail, sibling_pfail)
         batch = {name: axis for name in MECHANISM_NAMES}
-        with fresh_results():
-            stats = PipelineStats()
-            run_suite(config, benchmarks=SUBSET, pipeline_stats=stats,
-                      batch_pfails=batch)
+        stats = PipelineStats()
+        suite_pipeline(SUBSET, config, TARGET_EXCEEDANCE, stats=stats,
+                       batch_pfails=batch)
         assert stats.cells_batched == 3 * len(SUBSET)
         assert stats.cells_recomputed == 3 * len(SUBSET)
         # The sibling pfail is served whole from the store...
@@ -351,15 +352,14 @@ class TestPfailAxisPrefill:
         """Only store-missing siblings are recomputed on a rerun."""
         config = EstimatorConfig(cache=str(tmp_path / "store"))
         batch = {name: (config.pfail, 5e-4) for name in MECHANISM_NAMES}
-        with fresh_results():
-            run_suite(config, benchmarks=SUBSET, batch_pfails=batch)
+        suite_pipeline(SUBSET, config, TARGET_EXCEEDANCE,
+                       batch_pfails=batch)
         edited = replace(config, pfail=2e-3)
         batch = {name: (2e-3, config.pfail, 5e-4)
                  for name in MECHANISM_NAMES}
-        with fresh_results():
-            stats = PipelineStats()
-            run_suite(edited, benchmarks=SUBSET, pipeline_stats=stats,
-                      batch_pfails=batch)
+        stats = PipelineStats()
+        suite_pipeline(SUBSET, edited, TARGET_EXCEEDANCE, stats=stats,
+                       batch_pfails=batch)
         # The 5e-4 and default-pfail rows are already persisted: each
         # cell batches nothing beyond its own new row.
         assert stats.cells_batched == 0

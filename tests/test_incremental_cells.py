@@ -3,7 +3,8 @@
 Covers the plan pass (content-address probes, satisfied-from-store
 completion, undemanded-task skipping), deterministic artifact-key
 dispatch order, bit-identity of the cell-granular schedule against the
-per-benchmark reference schedule, one-program-edit invalidation, and
+fused :class:`~repro.pwcet.PWCETEstimator` oracle, one-program-edit
+invalidation, and
 the ``--only-cells`` sweep filter.
 """
 
@@ -18,11 +19,17 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import fresh_results, run_benchmark, run_suite
+from repro.experiments.runner import (BenchmarkResult, fresh_results,
+                                      run_benchmark, run_suite,
+                                      solver_totals)
 from repro.pipeline import PipelineScheduler, PipelineStats
-from repro.pwcet import EstimatorConfig
-from repro.sweep import format_pareto_fronts, format_sweep_report, \
-    format_sweep_table, geometry_grid, run_sweep
+from repro.pipeline.stages import _merged_counters
+from repro.pwcet import EstimatorConfig, PWCETEstimator
+from repro.pwcet.estimator import TARGET_EXCEEDANCE
+from repro.suite import load
+from repro.sweep import SweepResult, format_pareto_fronts, \
+    format_sweep_table, geometry_grid, run_sweep, sweep_cells
+from repro.sweep.service import _cell_points
 
 SUBSET = ("bs", "fibcall", "prime")
 MECHANISMS = ("none", "srb", "rw")
@@ -157,24 +164,31 @@ class TestDeterministicOrder:
             expected.write_text("\n".join(order) + "\n")
 
 
-class TestScheduleIdentity:
-    """Satellite 3: the cell-granular schedule is bit-identical to the
-    per-benchmark reference schedule, in every worker mode."""
+def _fused_result(name, config):
+    """One benchmark through the fused :class:`PWCETEstimator` — the
+    ``repro estimate`` path, and the oracle the cell DAG is held to."""
+    estimator = PWCETEstimator(load(name), config, name=name)
+    return BenchmarkResult(
+        name=name,
+        wcet_fault_free=estimator.fault_free_wcet(),
+        estimates=estimator.estimate_all(),
+        target_probability=TARGET_EXCEEDANCE,
+        solver_stats=_merged_counters(estimator.stats_summary(), {}))
 
-    def _run(self, schedule, cache, workers):
-        with fresh_results():
-            stats = PipelineStats()
-            results = run_suite(EstimatorConfig(cache=cache),
-                                benchmarks=SUBSET, workers=workers,
-                                pipeline_stats=stats, schedule=schedule)
-        return results, stats
+
+class TestScheduleIdentity:
+    """The cell-granular schedule is bit-identical to the fused
+    estimator oracle, in every worker mode."""
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_suite_matches_reference_schedule(self, tmp_path, workers):
-        reference, ref_stats = self._run("benchmark",
-                                         str(tmp_path / "ref"), workers)
-        cellrun, cell_stats = self._run("cell",
-                                        str(tmp_path / "cell"), workers)
+        with fresh_results():
+            cell_stats = PipelineStats()
+            cellrun = run_suite(EstimatorConfig(cache=str(tmp_path / "cell")),
+                                benchmarks=SUBSET, workers=workers,
+                                pipeline_stats=cell_stats)
+        oracle = EstimatorConfig(cache=str(tmp_path / "oracle"))
+        reference = [_fused_result(name, oracle) for name in SUBSET]
         for before, after in zip(reference, cellrun):
             assert before.name == after.name
             assert before.wcet_fault_free == after.wcet_fault_free
@@ -183,31 +197,37 @@ class TestScheduleIdentity:
                 assert before.pwcet(mechanism) == after.pwcet(mechanism)
                 assert before.estimates[mechanism].fmm.rows == \
                     after.estimates[mechanism].fmm.rows
-        assert ref_stats.totals() == cell_stats.totals()
+        assert solver_totals(reference) == cell_stats.totals()
 
     @pytest.mark.parametrize("kwargs", [{}, {"cell_workers": 4}],
                              ids=["sequential", "parallel"])
     def test_sweep_report_matches_reference_schedule(self, tmp_path,
                                                      kwargs):
-        """The paper-facing numbers are bit-identical across schedules.
+        """The paper-facing numbers are bit-identical to the oracle's.
 
-        The work-profile summary legitimately differs since the
-        batched distribution kernel: the cell schedule's first pfail
-        column prefills the axis, so the second column is served whole
-        from the cell store instead of re-estimating against the solve
-        store — asserted explicitly below.
+        The sweep's work profile is its own: the first pfail column
+        prefills the axis through the batched distribution kernel, so
+        the second column is served whole from the cell store —
+        asserted explicitly below.
         """
         geometries = geometry_grid(sizes=(512, 1024), ways=(2,),
                                    lines=(16,))
-
-        def sweep(schedule, cache):
-            return run_sweep(geometries, pfails=(1e-4, 1e-3),
-                             benchmarks=("bs", "fibcall"),
-                             config=EstimatorConfig(cache=cache),
-                             schedule=schedule, **kwargs)
-
-        reference = sweep("benchmark", str(tmp_path / "ref"))
-        cellrun = sweep("cell", str(tmp_path / "cell"))
+        pfails = (1e-4, 1e-3)
+        benchmarks = ("bs", "fibcall")
+        cellrun = run_sweep(geometries, pfails=pfails, benchmarks=benchmarks,
+                            config=EstimatorConfig(
+                                cache=str(tmp_path / "cell")),
+                            **kwargs)
+        points = []
+        for cell in sweep_cells(geometries, pfails):
+            config = EstimatorConfig(geometry=cell.geometry,
+                                     pfail=cell.pfail,
+                                     cache=str(tmp_path / "oracle"))
+            points.extend(_cell_points(
+                cell, [_fused_result(name, config) for name in benchmarks]))
+        reference = SweepResult(points=tuple(points), benchmarks=benchmarks,
+                                probability=TARGET_EXCEEDANCE,
+                                solver_totals={})
         assert cellrun.points == reference.points
         assert format_sweep_table(reference) == \
             format_sweep_table(cellrun)
@@ -216,7 +236,6 @@ class TestScheduleIdentity:
         # 2 geometries x 2 benchmarks x 3 mechanisms x 1 sibling pfail.
         assert cellrun.solver_totals["dist_batched_rows"] == 12
         assert cellrun.solver_totals["cells_from_store"] == 12
-        assert "dist_batched_rows" not in reference.solver_totals
 
 
 class TestIncrementalInvalidation:

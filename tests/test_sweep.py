@@ -116,14 +116,34 @@ class TestRunSweep:
         assert "persistent cache" in text
 
     def test_run_sweep_preserves_outer_memo(self, tmp_path):
-        """The sweep scopes the runner memo instead of clearing it."""
-        from repro.experiments.runner import run_benchmark
+        """The sweep neither clears, reuses nor overwrites the runner
+        memo — even when its grid contains a memoised configuration."""
+        from repro.experiments.runner import fresh_results, run_benchmark
 
-        outer = run_benchmark("fibcall")
-        run_sweep(geometry_grid(sizes=(512,), ways=(2,), lines=(16,)),
-                  benchmarks=("bs",),
-                  config=EstimatorConfig(cache=str(tmp_path / "store")))
+        # The memoised fibcall result comes from a warm store, so its
+        # counters differ from what the sweep's own cold cell counts.
+        warm = EstimatorConfig(cache=str(tmp_path / "warm"))
+        with fresh_results():
+            run_benchmark("fibcall", warm)
+        with fresh_results():
+            outer = run_benchmark("fibcall", warm)
+        assert outer.solver_stats["ilp_solved"] == 0
+        # The paper's default cell (1 KB, 4-way, 16 B, pfail 1e-4) is
+        # the memoised configuration.
+        geometries = geometry_grid(sizes=(512, 1024), ways=(4,),
+                                   lines=(16,))
+
+        def sweep(cache):
+            return run_sweep(geometries, pfails=(1e-4,),
+                             benchmarks=("bs", "fibcall"),
+                             config=EstimatorConfig(cache=cache))
+
+        swept = sweep(str(tmp_path / "store"))
         assert run_benchmark("fibcall") is outer
+        with fresh_results():
+            fresh = sweep(str(tmp_path / "fresh"))
+        assert swept.solver_totals == fresh.solver_totals
+        assert swept.solver_totals["ilp_solved"] > 0
 
     def test_fronts_never_mix_pfails(self, result):
         text = format_pareto_fronts(result)
