@@ -146,9 +146,29 @@ def _retry_from(arguments: argparse.Namespace):
                        stage_timeouts=stage_timeouts or None)
 
 
+def _check_probabilities(arguments: argparse.Namespace) -> None:
+    """Reject out-of-range probability flags before any work starts,
+    by the rules the models apply (a pfail may be 0 or 1; a target
+    exceedance probability lies strictly inside (0, 1))."""
+    from repro.errors import ConfigurationError
+    from repro.util import check_probability
+
+    checks = [("--pfail", arguments.pfail, True),
+              ("--probability", arguments.probability, False)]
+    checks += [("--pfails", pfail, True)
+               for pfail in getattr(arguments, "pfails", None) or ()]
+    for flag, value, closed in checks:
+        try:
+            check_probability(value, flag, allow_zero=closed,
+                              allow_one=closed)
+        except ConfigurationError as error:
+            raise SystemExit(str(error)) from None
+
+
 def _config_from(arguments: argparse.Namespace) -> EstimatorConfig:
     if arguments.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {arguments.workers}")
+    _check_probabilities(arguments)
     if getattr(arguments, "remote", None) is not None:
         # The stores resolve the remote client from the environment on
         # every resolve(), so the flag simply overrides the variable —
@@ -172,6 +192,7 @@ def _estimator_for(name: str,
 
 
 def _command_estimate(arguments: argparse.Namespace) -> int:
+    from repro.errors import EstimationError
     estimator = _estimator_for(arguments.benchmark, arguments)
     print(f"benchmark {arguments.benchmark}: "
           f"fault-free WCET {estimator.fault_free_wcet()} cycles")
@@ -179,7 +200,7 @@ def _command_estimate(arguments: argparse.Namespace) -> int:
         estimate = estimator.estimate(mechanism)
         try:
             value = estimate.pwcet(arguments.probability)
-        except Exception as error:  # refined analyses may refuse deep tails
+        except EstimationError as error:  # refined analyses refuse deep tails
             print(f"  {mechanism:>5s}: unavailable ({error})")
             continue
         print(f"  {mechanism:>5s}: pWCET@{arguments.probability:.0e} "

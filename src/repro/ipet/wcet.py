@@ -9,6 +9,7 @@ from repro.analysis.classify import ClassificationTable
 from repro.cfg import CFG, LoopForest
 from repro.errors import ConfigurationError
 from repro.ipet.model import FlowModel
+from repro.solve.backend import ceil_bound
 from repro.util import check_positive_int
 
 
@@ -103,6 +104,6 @@ def compute_wcet(cfg: CFG, table: ClassificationTable, timing: TimingModel,
         for block_id in cfg.block_ids()
     }
     cycles = (solution.rounded_objective() if not relaxed
-              else int(-(-solution.objective // 1)))  # ceil for safety
+              else ceil_bound(solution.objective))
     return WCETResult(cycles=cycles, block_counts=block_counts,
                       relaxed=relaxed)

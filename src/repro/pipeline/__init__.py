@@ -9,16 +9,14 @@ graph instead of a call stack:
 
 ``artifacts``
     Frozen stage outputs (:class:`CfgArtifact`,
-    :class:`ClassificationArtifact`, :class:`SolveArtifact`,
-    :class:`FmmArtifact`, :class:`DistributionArtifact`,
-    :class:`CellArtifact`), each keyed by the digest its stage's
-    persistent store already uses.
+    :class:`ClassificationArtifact`, :class:`CellArtifact`), each
+    keyed by the digest its stage's persistent store already uses.
 
 ``scheduler``
     :class:`PipelineScheduler` — the dependency-DAG executor with one
-    shared worker pool that interleaves classification fixpoints with
-    ILP solve batches across benchmarks, geometries and fault counts,
-    steals queued pool tasks into the parent when every worker is
+    shared worker pool that interleaves one benchmark's classification
+    fixpoints with another's solve stage across benchmarks and
+    geometries, steals queued pool tasks into the parent when every worker is
     busy, and runs an incremental-invalidation ``plan()`` pass that
     satisfies content-addressed stages from their persistent stores;
     :class:`PipelineStats` — per-run merged solver + analysis
@@ -43,17 +41,16 @@ graph instead of a call stack:
     content-addressed store of finished (mechanism, pfail) cells the
     plan pass probes.
 
-The estimator (:mod:`repro.pwcet.estimator`), the suite runner
-(:mod:`repro.experiments.runner`) and the sweep service
-(:mod:`repro.sweep.service`) all execute through this scheduler; the
-suite/sweep cell DAG is property-tested bit-identical to the fused
-estimator.
+The suite runner (:mod:`repro.experiments.runner`) and the sweep
+service (:mod:`repro.sweep.service`) execute through this scheduler.
+The fused estimator (:mod:`repro.pwcet.estimator`) is a plain call
+chain that never touches it, and the cell DAG is property-tested
+bit-identical to it.
 """
 
 from repro.pipeline.artifacts import (CELL_SCHEMA_VERSION, CellArtifact,
                                       CfgArtifact, ClassificationArtifact,
-                                      DistributionArtifact, FmmArtifact,
-                                      SolveArtifact, StageArtifact)
+                                      StageArtifact)
 from repro.pipeline.resilience import (DEFAULT_RETRY_POLICY, FailureReport,
                                        RetryPolicy, StageTimeout,
                                        TaskFailure, classify_failure)
@@ -68,9 +65,6 @@ __all__ = [
     "CellArtifact",
     "CfgArtifact",
     "ClassificationArtifact",
-    "DistributionArtifact",
-    "FmmArtifact",
-    "SolveArtifact",
     "StageArtifact",
     "PipelineScheduler",
     "PipelineStats",

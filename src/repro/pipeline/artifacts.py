@@ -1,13 +1,16 @@
 """Typed, content-addressed stage artifacts of the estimation pipeline.
 
-The paper's flow — program → CFG → cache classification → FMM → ILP
-solve → pWCET distribution — runs as a DAG of *stages*; each stage's
-output is one of the frozen dataclasses below.  Every artifact carries
+The suite/sweep cell DAG (:mod:`repro.pipeline.stages`) runs the
+paper's flow as classify → solve → one cell per (mechanism, pfail) →
+result.  The classify and cell stages hand on the frozen dataclasses
+below (the solve stage's :class:`~repro.pipeline.stages.SolveOutput`
+and the result stage's ``BenchmarkResult`` live with their stages).
+Every artifact carries
 ``key``: the digest its stage's persistent store already uses (the CFG
 digest for :class:`CfgArtifact`, a
 :func:`repro.analysis.store.classification_key` for
-:class:`ClassificationArtifact`, digests over the solve store's
-:func:`repro.solve.store.store_context` for the solve-side stages), so
+:class:`ClassificationArtifact`, a digest over the solve store's
+:func:`repro.solve.store.store_context` for :class:`CellArtifact`), so
 an artifact is *identified* the same way it is *persisted* — the
 stores are read/write-through layers at the artifact boundary, not a
 separate caching concern.
@@ -35,8 +38,7 @@ def _digest(*parts: object) -> str:
 
 
 #: Schema of persisted pWCET cells (:mod:`repro.pipeline.cellstore`).
-#: Folded into every :meth:`DistributionArtifact.derive_key` /
-#: :meth:`CellArtifact.derive_key`, so bumping it invalidates every
+#: Folded into every :meth:`CellArtifact.derive_key`, so bumping it invalidates every
 #: stored cell without touching the solve or classification stores.
 #: v2: sparse (width, support, values) pmf encoding — wide suite
 #: distributions are mostly zero, and the dense float list dominated
@@ -97,67 +99,12 @@ class ClassificationArtifact(StageArtifact):
 
 
 @dataclass(frozen=True)
-class SolveArtifact(StageArtifact):
-    """Stage 3a: the fault-free IPET WCET of one estimation context.
-
-    ``key`` digests the solve store's context string plus the kind —
-    the same inputs :func:`repro.solve.store.solve_key` folds into the
-    persisted solution-artefact entry.
-    """
-
-    wcet_cycles: int
-
-    @staticmethod
-    def derive_key(store_context: str) -> str:
-        return _digest("wcet", store_context)
-
-
-@dataclass(frozen=True)
-class FmmArtifact(StageArtifact):
-    """Stage 3b: one mechanism's Fault Miss Map.
-
-    ``key`` digests the solve store context plus the mechanism name —
-    the FMM's cells are persisted individually under per-objective
-    solve keys sharing exactly that context.
-    """
-
-    mechanism: str
-    fmm: object = field(repr=False)  # :class:`repro.fmm.FaultMissMap`
-
-    @staticmethod
-    def derive_key(store_context: str, mechanism: str) -> str:
-        return _digest("fmm", store_context, mechanism)
-
-
-@dataclass(frozen=True)
-class DistributionArtifact(StageArtifact):
-    """Stage 4: the whole-cache fault penalty distribution (in misses).
-
-    ``key`` extends the FMM key with the fault probability and the
-    cell schema version — the digest over CFG digest × geometry ×
-    mechanism × pfail × schema that also addresses the persisted cell
-    (:class:`CellArtifact` shares the derivation).
-    """
-
-    mechanism: str
-    pfail: float
-    distribution: object = field(repr=False)
-
-    @staticmethod
-    def derive_key(store_context: str, mechanism: str,
-                   pfail: float) -> str:
-        return _digest("distribution", store_context, mechanism, pfail,
-                       CELL_SCHEMA_VERSION)
-
-
-@dataclass(frozen=True)
 class CellArtifact(StageArtifact):
-    """Stage 4': one finished (mechanism, pfail) estimation cell.
+    """Stage 4: one finished (mechanism, pfail) estimation cell.
 
     The cell-granular pipeline's unit of fan-out *and* of persistence:
-    ``key`` is the :meth:`DistributionArtifact.derive_key` digest (CFG
-    digest × geometry × timing × mechanism × pfail × schema), which is
-    exactly the key the :class:`~repro.pipeline.cellstore.CellStore`
+    ``key`` is the :meth:`derive_key` digest (CFG digest × geometry ×
+    timing × mechanism × pfail × schema), which is exactly the key the :class:`~repro.pipeline.cellstore.CellStore`
     persists the finished estimate under — `plan()` probes the store by
     this address to satisfy up-stream-clean cells without running them.
     """
@@ -178,4 +125,10 @@ class CellArtifact(StageArtifact):
     #: through to the cell store; 0 when the cell ran unbatched.
     batched_rows: int = 0
 
-    derive_key = staticmethod(DistributionArtifact.derive_key)
+    @staticmethod
+    def derive_key(store_context: str, mechanism: str,
+                   pfail: float) -> str:
+        # The leading "distribution" tag predates the cell stage; it
+        # stays so every persisted cell keeps its address.
+        return _digest("distribution", store_context, mechanism, pfail,
+                       CELL_SCHEMA_VERSION)

@@ -5,7 +5,7 @@ coverage: the solve store persists ILP optima, the classification
 store persists CHMC tables, and this one persists whole *(mechanism,
 pfail)* cells — the cell-granular pipeline's unit of fan-out
 (:class:`~repro.pipeline.artifacts.CellArtifact`).  Keys are the
-:meth:`~repro.pipeline.artifacts.DistributionArtifact.derive_key`
+:meth:`~repro.pipeline.artifacts.CellArtifact.derive_key`
 digest over CFG digest × geometry × timing × mechanism × pfail ×
 :data:`~repro.pipeline.artifacts.CELL_SCHEMA_VERSION`, so a persisted
 cell is addressed exactly like the running stage that would recompute

@@ -1,4 +1,4 @@
-"""The dependency-DAG scheduler shared by estimator, runner and sweep.
+"""The dependency-DAG scheduler of the suite runner and the sweep.
 
 One :class:`PipelineScheduler` owns one worker pool and executes a DAG
 of stage tasks: fixpoint/classification stages, ILP solve stages, and
@@ -36,14 +36,8 @@ Execution model
   runs it in-process — small cells of one benchmark backfill the
   otherwise-idle parent while another benchmark's long ILP batch
   occupies the pool.
-* Inline tasks (closures over in-process state — the estimator's own
-  stages) run in the parent while pool futures are outstanding.
-
-Besides DAG tasks the scheduler doubles as the *solve executor* of
-:class:`~repro.solve.planner.SolvePlanner`:
-:meth:`map_solves` fans batched ILP objectives over the same pool
-(workers memoise the rebuilt backend per program token), so a single
-pool serves both the coarse stage tasks and the fine solve batches.
+* Inline tasks (``pool=False``, e.g. every benchmark's result stage)
+  run in the parent while pool futures are outstanding.
 
 Per-run work is accounted in a fresh :class:`PipelineStats` — the
 merge of the solver's and the analysis' counters, scoped to one
@@ -55,8 +49,7 @@ from __future__ import annotations
 
 import heapq
 import time
-import uuid
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
@@ -230,35 +223,6 @@ def _run_pool_task(fn: Callable, args: tuple) -> tuple[object, float]:
     return value, time.perf_counter() - started
 
 
-#: Worker-side backends rebuilt from program snapshots, memoised per
-#: planner token so one long-lived pool serves many programs without
-#: rebuilding on every chunk.  Bounded: oldest entry evicted beyond
-#: :data:`_MAX_WORKER_BACKENDS`.
-_WORKER_BACKENDS: dict[str, object] = {}
-_MAX_WORKER_BACKENDS = 4
-
-
-def _solve_chunk(token: str, snapshot: object,
-                 items: Sequence[tuple[tuple, bool]]) -> list[int]:
-    """Solve one chunk of (objective, relaxed) payloads in a worker."""
-    # Imported here, not at module level: repro.solve imports the
-    # planner, which imports this module — the lazy import keeps the
-    # package graph acyclic (and only workers ever pay it).
-    from repro.solve.backend import ceil_bound, make_backend
-
-    backend = _WORKER_BACKENDS.get(token)
-    if backend is None:
-        while len(_WORKER_BACKENDS) >= _MAX_WORKER_BACKENDS:
-            _WORKER_BACKENDS.pop(next(iter(_WORKER_BACKENDS)))
-        backend = _WORKER_BACKENDS[token] = make_backend(snapshot)
-    values = []
-    for objective, relaxed in items:
-        value, _ = backend.solve(dict(objective), sign=-1.0,
-                                 relaxed=relaxed)
-        values.append(ceil_bound(value) if relaxed else int(round(value)))
-    return values
-
-
 class PipelineScheduler:
     """Executes typed-artifact DAGs over one shared worker pool."""
 
@@ -276,12 +240,6 @@ class PipelineScheduler:
         self.strict = bool(strict)
         self._tasks: dict[str, _Task] = {}
         self._pool: ProcessPoolExecutor | None = None
-        self._running = False
-        #: The running :class:`FailureReport` (``map_solves`` charges
-        #: its pool rebuilds here while a DAG run is active).
-        self._report: FailureReport | None = None
-        #: Distinguishes this scheduler's snapshots in worker memos.
-        self._token = uuid.uuid4().hex
 
     # -- DAG construction ----------------------------------------------
     def add(self, key: str, fn: Callable, *, args: tuple = (),
@@ -395,8 +353,7 @@ class PipelineScheduler:
         """Execute every added task; return results keyed by task key.
 
         The task set is consumed: the scheduler is immediately reusable
-        for the next DAG (the estimator adds a fresh stage graph per
-        estimation batch).  ``stats`` scopes the run's counters;
+        for the next DAG.  ``stats`` scopes the run's counters;
         ``on_task(key, result, completed, total)`` streams completions
         (deterministic submission order inline, completion order with
         a pool).
@@ -406,8 +363,6 @@ class PipelineScheduler:
             stats = PipelineStats()
         policy = self.retry
         report = stats.failure_report
-        self._report = report
-        self._running = True
         started = time.perf_counter()
         remote_before = _remote_totals()
         satisfied, demanded, _will_run = self._plan(tasks)
@@ -695,96 +650,8 @@ class PipelineScheduler:
                 delta = total - remote_before.get(name, 0)
                 if delta:
                     stats.remote[name] = stats.remote.get(name, 0) + delta
-            self._running = False
-            self._report = None
             self._close_pool()
         return results
-
-    # -- the shared solve executor (SolvePlanner integration) -----------
-    def map_solves(self, token: str, snapshot: object,
-                   payload: Sequence[tuple[tuple, bool]], *,
-                   chunksize: int = 1,
-                   workers: int | None = None) -> list[int]:
-        """Batch-solve ILP payloads on the shared pool, in order.
-
-        ``token`` keys the worker-side backend memo (one rebuild per
-        worker per program, however many chunks follow).  Called from
-        inside a running DAG — an inline estimator stage priming its
-        planner — this opens (or reuses) the run's shared pool, which
-        then serves every later batch of the run and is reaped when
-        :meth:`run` returns: one pool for all of an estimation's
-        mechanisms and stages (an explicit ``workers`` request cannot
-        resize an open shared pool).  Standalone calls (a planner
-        primed outside any DAG) use a transient pool sized by
-        ``workers`` (default: the scheduler's width) so nothing
-        lingers past the call.
-        """
-        chunks = [list(payload[i:i + max(1, chunksize)])
-                  for i in range(0, len(payload), max(1, chunksize))]
-        scoped_token = f"{self._token}:{token}"
-        if self._pool is not None or self._running:
-            return self._map_on_shared_pool(scoped_token, snapshot,
-                                            chunks)
-        with ProcessPoolExecutor(
-                max_workers=min(workers or self.workers,
-                                len(chunks))) as pool:
-            futures = [pool.submit(_solve_chunk, scoped_token, snapshot,
-                                   chunk) for chunk in chunks]
-            return [value for future in futures
-                    for value in future.result()]
-
-    def _map_on_shared_pool(self, scoped_token: str, snapshot: object,
-                            chunks: list[list]) -> list[int]:
-        """Run solve chunks on the shared pool, rebuilding on breaks.
-
-        A killed solve worker breaks the whole pool; with a retry
-        policy the pool is rebuilt and only the unfinished chunks are
-        resubmitted (order is preserved by chunk slot).  Without a
-        policy the break propagates raw, as before.
-        """
-        slots: list[list[int] | None] = [None] * len(chunks)
-        batch_attempts = 0
-        while any(slot is None for slot in slots):
-            pool = self._ensure_pool()
-            broken: BaseException | None = None
-            futures: dict[Future, int] = {}
-            for index, slot in enumerate(slots):
-                if slot is not None:
-                    continue
-                try:
-                    futures[pool.submit(_solve_chunk, scoped_token,
-                                        snapshot, chunks[index])] = index
-                except BrokenExecutor as error:
-                    # The shared pool broke (a DAG stage's worker was
-                    # killed) before this batch fully submitted; the
-                    # chunks already in are harvested below, the rest
-                    # resubmit on the rebuilt pool.
-                    broken = error
-                    break
-            for future, index in futures.items():
-                if broken is None:
-                    try:
-                        slots[index] = future.result()
-                        continue
-                    except BrokenExecutor as error:
-                        broken = error
-                # The pool already broke: harvest chunks that
-                # finished before the break, leave the rest unfilled.
-                if (future.done() and not future.cancelled()
-                        and future.exception() is None):
-                    slots[index] = future.result()
-            if broken is None:
-                break
-            batch_attempts += 1
-            allowed = (self.retry.max_attempts
-                       if self.retry is not None else 1)
-            if batch_attempts >= allowed:
-                raise broken
-            if self._report is not None:
-                self._report.pool_rebuilds += 1
-                self._report.retries += 1
-            self._discard_pool()
-        return [value for slot in slots for value in slot]
 
     # -- pool lifecycle -------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:

@@ -57,8 +57,7 @@ from repro.analysis import CacheAnalysis
 from repro.analysis.store import classification_key
 from repro.faults import FaultProbabilityModel
 from repro.pipeline.artifacts import (CellArtifact, CfgArtifact,
-                                      ClassificationArtifact,
-                                      DistributionArtifact)
+                                      ClassificationArtifact)
 from repro.pipeline.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.pipeline.scheduler import (PipelineScheduler, PipelineStats,
                                       is_run_counter)
@@ -392,8 +391,8 @@ def benchmark_dag(scheduler: PipelineScheduler, name: str, config,
     cell's stage computes every *store-missing* row of its mechanism's
     axis in one batched pass and prefills the cell store with the
     siblings.  Per-cell content addresses are untouched — the batch is
-    assembled from exactly the per-row :meth:`DistributionArtifact
-    .derive_key` digests the plan pass probes — so ``--only-cells``
+    assembled from exactly the per-row :meth:`CellArtifact.derive_key`
+    digests the plan pass probes — so ``--only-cells``
     filtering and incremental invalidation behave as without batching.
     Requires ``cell_store`` (prefilled rows must land somewhere).
 
@@ -437,14 +436,14 @@ def benchmark_dag(scheduler: PipelineScheduler, name: str, config,
         deps=(classify_key,), stage="solve", pool=pool)
     cell_keys = []
     for mechanism in mechanisms:
-        cell_key = DistributionArtifact.derive_key(context, mechanism,
-                                                   config.pfail)
+        cell_key = CellArtifact.derive_key(context, mechanism,
+                                           config.pfail)
         batch_rows = ()
         if batch_pfails and cell_store is not None:
             axis = []
             for row_pfail in batch_pfails.get(mechanism, ()):
-                row_key = DistributionArtifact.derive_key(
-                    context, mechanism, row_pfail)
+                row_key = CellArtifact.derive_key(context, mechanism,
+                                                  row_pfail)
                 # Only store-missing siblings enter the batch — a row
                 # another run already persisted costs nothing to keep.
                 if row_key != cell_key and cell_store.get(row_key) \

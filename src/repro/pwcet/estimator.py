@@ -18,13 +18,13 @@ persist across runs through the content-addressed
 ``EstimatorConfig(cache=...)``): a warm rerun of the same estimation
 performs zero backend ILP solves.
 
-Execution goes through the unified pipeline
-(:mod:`repro.pipeline`): each estimation batch is a typed-artifact DAG
-(cfg → classification → {WCET, FMM per mechanism} → distribution →
-estimate) run by a :class:`~repro.pipeline.scheduler.PipelineScheduler`
-whose pool also serves the planner's batched ILP solves — with
-``workers > 1`` there is no private pool and no phase barrier between
-the classification fixpoints and the solve batches.
+Execution is a plain call chain over those memoised methods: the
+fault-free WCET first, then per mechanism FMM → penalty distribution →
+estimate.  With ``workers > 1`` the planner fans each FMM's batched
+ILP solves over a short-lived process pool of its own
+(:meth:`~repro.solve.planner.SolvePlanner.prime`).  The estimator
+shares no scheduler code with the suite/sweep cell DAG
+(:mod:`repro.pipeline`), which it serves as the oracle for.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ from repro.faults import FaultProbabilityModel
 from repro.fmm import FaultMissMap, compute_fault_miss_map
 from repro.ipet import FlowModel, TimingModel, compute_wcet
 from repro.minic import CompiledProgram
-from repro.pipeline.artifacts import (DistributionArtifact, FmmArtifact,
-                                      SolveArtifact)
-from repro.pipeline.scheduler import PipelineScheduler
 from repro.pwcet.batch import penalty_distributions
 from repro.pwcet.distribution import DiscreteDistribution
 from repro.pwcet.exceedance import ExceedanceCurve
@@ -167,7 +164,6 @@ class PWCETEstimator:
     def __init__(self, program: CompiledProgram | CFG,
                  config: EstimatorConfig | None = None,
                  name: str | None = None, *,
-                 scheduler: PipelineScheduler | None = None,
                  analysis: CacheAnalysis | None = None) -> None:
         if config is None:
             config = EstimatorConfig()
@@ -192,17 +188,10 @@ class PWCETEstimator:
             self._analysis = CacheAnalysis(cfg, config.geometry,
                                            cache=config.cache)
         self._flow_model = FlowModel(cfg, self._analysis.forest)
-        #: One scheduler per estimator (or an injected shared one):
-        #: estimation batches run as artifact DAGs on it, and its pool
-        #: doubles as the planner's solve executor — classification
-        #: stages and ILP batches share one set of workers.
-        self._scheduler = (scheduler if scheduler is not None
-                           else PipelineScheduler(workers=config.workers))
         #: One planner per estimator: WCET and every mechanism's FMM
         #: dedup against the same canonical-objective cache.
         self._planner = self._flow_model.planner
         self._planner.workers = config.workers
-        self._planner.executor = self._scheduler
         #: Cross-run persistence: already-solved objectives of this
         #: (program, geometry, timing) context are answered from the
         #: disk store instead of the ILP backend.
@@ -314,87 +303,30 @@ class PWCETEstimator:
 
     def estimate(self, mechanism: ReliabilityMechanism | str
                  ) -> PWCETEstimate:
-        """Full pWCET estimate for one mechanism (memoised)."""
+        """Full pWCET estimate for one mechanism (memoised).
+
+        Work runs in the order WCET, FMM, penalty distribution: each
+        step is itself memoised, so a second mechanism reuses the WCET
+        and the planner's dedup cache.
+        """
         mechanism = self._resolve(mechanism)
         if mechanism.name not in self._estimates:
-            self._run_pipeline((mechanism,))
+            wcet = self.fault_free_wcet()
+            distribution = self.penalty_distribution(mechanism)
+            self._estimates[mechanism.name] = PWCETEstimate(
+                program_name=self._name,
+                mechanism_name=mechanism.name,
+                wcet_fault_free=wcet,
+                penalty_misses=distribution,
+                timing=self._config.timing,
+                fmm=self.fault_miss_map(mechanism),
+                exceedance_correction=mechanism.exceedance_correction(
+                    self._fault_model, self._config.geometry.sets))
         return self._estimates[mechanism.name]
 
     def estimate_all(self) -> dict[str, PWCETEstimate]:
         """Estimates for the paper's three configurations."""
-        pending = tuple(self._resolve(name) for name in ("none", "srb", "rw")
-                        if name not in self._estimates)
-        if pending:
-            self._run_pipeline(pending)
-        return {name: self._estimates[name] for name in ("none", "srb", "rw")}
-
-    # -- the estimation DAG --------------------------------------------
-    def _run_pipeline(self, mechanisms: tuple[ReliabilityMechanism, ...]
-                      ) -> None:
-        """One estimation batch as a typed-artifact DAG.
-
-        Stages (inline closures over this estimator's memoised state;
-        the planner's batched ILPs fan out over the scheduler's pool):
-        classification → WCET and, per mechanism, FMM → distribution →
-        estimate.  Inline execution follows submission order, which is
-        exactly the historical fused call order — the DAG changes
-        *where* work can run, never what is computed.
-        """
-        from repro.pipeline.stages import classification_artifact
-        from repro.solve.store import store_context
-
-        scheduler = self._scheduler
-        context = store_context(self._cfg.digest(), self._config.geometry,
-                                self._config.timing)
-        scheduler.add(
-            "classify",
-            lambda: classification_artifact(
-                self._analysis, self._name, mechanisms,
-                carry_tables=False),
-            stage="classify")
-        scheduler.add(
-            "wcet",
-            lambda _classify: SolveArtifact(
-                key=SolveArtifact.derive_key(context),
-                wcet_cycles=self.fault_free_wcet()),
-            deps=("classify",), stage="solve")
-        for mechanism in mechanisms:
-            name = mechanism.name
-            scheduler.add(
-                f"fmm:{name}",
-                lambda _classify, mechanism=mechanism: FmmArtifact(
-                    key=FmmArtifact.derive_key(context, mechanism.name),
-                    mechanism=mechanism.name,
-                    fmm=self.fault_miss_map(mechanism)),
-                deps=("classify",), stage="solve")
-            scheduler.add(
-                f"distribution:{name}",
-                lambda _fmm, mechanism=mechanism: DistributionArtifact(
-                    key=DistributionArtifact.derive_key(
-                        context, mechanism.name, self._config.pfail),
-                    mechanism=mechanism.name,
-                    pfail=self._config.pfail,
-                    distribution=self.penalty_distribution(mechanism)),
-                deps=(f"fmm:{name}",), stage="distribution")
-            scheduler.add(
-                f"estimate:{name}",
-                lambda wcet, distribution, mechanism=mechanism:
-                    PWCETEstimate(
-                        program_name=self._name,
-                        mechanism_name=mechanism.name,
-                        wcet_fault_free=wcet.wcet_cycles,
-                        penalty_misses=distribution.distribution,
-                        timing=self._config.timing,
-                        fmm=self.fault_miss_map(mechanism),
-                        exceedance_correction=
-                            mechanism.exceedance_correction(
-                                self._fault_model,
-                                self._config.geometry.sets)),
-                deps=("wcet", f"distribution:{name}"), stage="estimate")
-        results = scheduler.run()
-        for mechanism in mechanisms:
-            self._estimates[mechanism.name] = \
-                results[f"estimate:{mechanism.name}"]
+        return {name: self.estimate(name) for name in ("none", "srb", "rw")}
 
     # ------------------------------------------------------------------
     @staticmethod

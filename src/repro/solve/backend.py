@@ -304,5 +304,18 @@ def make_backend(snapshot: ProgramSnapshot,
 
 
 def ceil_bound(value: float) -> int:
-    """Round a relaxed maximisation bound up (the sound direction)."""
+    """Round a relaxed maximisation bound up (the sound direction).
+
+    A value within ``1e-9`` (relative) of an integer is that integer:
+    the persistent HiGHS model warm-starts, so the same LP can read
+    ``820.0000000000002`` after one solve history and ``820.0`` after
+    another, and a bare ceil would turn that noise into a whole unit
+    that depends on ``--workers``.  Snapping stays sound because every
+    objective reaching here has integral coefficients: the ILP optimum
+    is an integer no larger than the LP optimum, hence no larger than
+    the snapped value.
+    """
+    nearest = round(value)
+    if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
+        return int(nearest)
     return int(math.ceil(value))

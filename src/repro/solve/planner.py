@@ -21,12 +21,9 @@ polytope) and mediates every objective solved against it:
   0-penalty and never touches the solver;
 * **batching** — :meth:`SolvePlanner.prime` solves the unique
   uncached requests of a whole sweep up front; with ``workers > 1``
-  the batch fans out through the pipeline's shared
-  :class:`~repro.pipeline.scheduler.PipelineScheduler` pool (workers
-  re-freeze the program from a picklable
-  :class:`~repro.solve.backend.ProgramSnapshot`, memoised per planner
-  token), so solve batches and classification stage tasks share one
-  worker pool instead of each planner spinning its own.
+  the batch fans out in chunks over a short-lived process pool whose
+  initializer rebuilds each worker's backend once from a picklable
+  :class:`~repro.solve.backend.ProgramSnapshot`.
 
 All shortcuts are value-preserving: planned results are bit-identical
 to solving every (set, fault count) ILP directly.
@@ -35,20 +32,41 @@ to solving every (set, fault count) ILP directly.
 from __future__ import annotations
 
 import math
-import uuid
 from collections.abc import Callable, Iterable, Sequence
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import SolverError
-from repro.solve.backend import ceil_bound
+from repro.solve.backend import ceil_bound, make_backend
 from repro.solve.request import SolveRequest
 from repro.solve.store import SolveStore, solve_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ipet.ilp import LinearProgram, Solution
+
+
+#: This worker process' backend, built once by :func:`_init_worker`.
+_worker_backend = None
+
+
+def _init_worker(snapshot) -> None:
+    """Pool initializer: rebuild the program's backend in this worker."""
+    global _worker_backend
+    _worker_backend = make_backend(snapshot)
+
+
+def _solve_chunk(items: Sequence[tuple[tuple, bool]]) -> list[int]:
+    """Solve one chunk of ``(objective, relaxed)`` payloads in a worker,
+    rounding exactly as :meth:`SolvePlanner._solve_uncached` does."""
+    values = []
+    for objective, relaxed in items:
+        value, _ = _worker_backend.solve(dict(objective), sign=-1.0,
+                                         relaxed=relaxed)
+        values.append(ceil_bound(value) if relaxed else int(round(value)))
+    return values
 
 
 @dataclass
@@ -112,14 +130,6 @@ class SolvePlanner:
         #: pre-screen); ``None`` falls back to the program's declared
         #: variable upper bounds.
         self.variable_bound = variable_bound
-        #: Solve executor for batched priming: anything with the
-        #: :meth:`~repro.pipeline.scheduler.PipelineScheduler
-        #: .map_solves` shape.  The estimator wires its pipeline
-        #: scheduler here so solve batches land on the same pool as
-        #: the classification stages; ``None`` creates one on demand.
-        self.executor = None
-        #: Keys this planner's snapshot in pool workers' backend memo.
-        self._token = uuid.uuid4().hex
         self.stats = SolveStats()
         self._results: dict[object, int] = {}
         #: Keys solved ahead of time by :meth:`prime` (or served by the
@@ -333,11 +343,12 @@ class SolvePlanner:
               workers: int | None = None) -> None:
         """Batch-solve the unique uncached requests of a sweep.
 
-        With ``workers > 1`` the unique objectives are distributed over
-        a process pool; every worker rebuilds a backend from the
-        program snapshot once and streams results back.  Results land
-        in the dedup cache — and are written through to the persistent
-        store — so the subsequent row planning is pure fan-out.
+        With ``workers > 1`` the unique objectives are distributed in
+        chunks over a process pool that lives for this call; every
+        worker rebuilds a backend from the program snapshot once, in
+        the pool initializer.  Results land in the dedup cache — and
+        are written through to the persistent store — so the
+        subsequent row planning is pure fan-out.
         Requests already persisted by an earlier run are answered from
         the store and never reach the pool.
         """
@@ -376,19 +387,15 @@ class SolvePlanner:
                     or request.objective[-1][0] >= num_variables):
                 raise SolverError(
                     f"unknown variable index in request {request.tag}")
-        snapshot = self.program.snapshot()
         payload = [(request.objective, request.relaxed)
                    for request in pending]
-        chunk = max(1, len(payload) // (workers * 4))
-        executor = self.executor
-        if executor is None:
-            # Lazy import: repro.solve is imported by the pipeline's
-            # stage modules; creating the scheduler on first pooled
-            # prime keeps the package graph acyclic.
-            from repro.pipeline.scheduler import PipelineScheduler
-            executor = self.executor = PipelineScheduler(workers=workers)
-        values = executor.map_solves(self._token, snapshot, payload,
-                                     chunksize=chunk, workers=workers)
+        size = max(1, len(payload) // (workers * 4))
+        chunks = [payload[i:i + size] for i in range(0, len(payload), size)]
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+                                 initializer=_init_worker,
+                                 initargs=(self.program.snapshot(),)) as pool:
+            values = [value for chunk in pool.map(_solve_chunk, chunks)
+                      for value in chunk]
         for request, value in zip(pending, values):
             self._results[request.key] = value
             self._primed.add(request.key)

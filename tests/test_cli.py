@@ -168,3 +168,28 @@ class TestCacheEnvAlias:
             warnings.simplefilter("error")
             assert store_module.cache_env_value() == \
                 str(tmp_path / "canonical")
+
+
+class TestProbabilityFlags:
+    """Probability flags are checked by the models' own rules before
+    any work starts: no traceback, no store written, no exit 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "crc", "--pfail", "2"],
+        ["estimate", "crc", "--pfail", "-0.1"],
+        ["estimate", "crc", "--pfail", "nan"],
+        ["estimate", "crc", "--probability", "0"],
+        ["estimate", "crc", "--probability", "1"],
+        ["sweep", "--pfails", "1e-4", "2", "--benchmarks", "bs"],
+        ["suite", "--probability", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_out_of_range_exits_with_a_message(self, argv, tmp_path):
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit, match="--pfail|--probability"):
+            main(argv + ["--cache", str(cache)])
+        assert not cache.exists()
+
+    def test_boundary_pfail_is_accepted(self, capsys):
+        assert main(["estimate", "bs", "--pfail", "0",
+                     "--mechanisms", "rw"]) == 0
+        assert "rw" in capsys.readouterr().out

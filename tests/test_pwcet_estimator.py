@@ -112,3 +112,26 @@ class TestSensitivity:
         large = PWCETEstimator(loop_program, EstimatorConfig(
             geometry=CacheGeometry.from_size(2048, 4, 16)))
         assert large.fault_free_wcet() <= small.fault_free_wcet()
+
+
+class TestOracleIndependence:
+    def test_estimate_all_runs_without_the_pipeline_scheduler(
+            self, monkeypatch, tmp_path):
+        """The fused estimator is the cell DAG's oracle, so it must
+        share no scheduler code with the path it checks."""
+        from repro.pipeline.scheduler import PipelineScheduler
+        from repro.suite import load
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the estimator ran a pipeline DAG")
+
+        monkeypatch.setattr(PipelineScheduler, "run", refuse)
+        estimator = PWCETEstimator(load("fibcall"),
+                                   EstimatorConfig(cache=str(tmp_path)),
+                                   name="fibcall")
+        estimates = estimator.estimate_all()
+        # tests/test_suite_golden.py: (WCET_ff, none, srb, rw).
+        assert estimator.fault_free_wcet() == 1241
+        assert {name: estimate.pwcet()
+                for name, estimate in estimates.items()} == {
+            "none": 25341, "srb": 7441, "rw": 1241}

@@ -68,15 +68,45 @@ class TestPipelineEquivalence:
             assert (planned.estimate(mechanism).pwcet()
                     == direct.estimate(mechanism).pwcet()), (name, mechanism)
 
-    def test_parallel_workers_identical(self):
-        sequential = PWCETEstimator(load("crc"), name="crc")
-        parallel = PWCETEstimator(load("crc"),
-                                  EstimatorConfig(workers=2), name="crc")
+    @pytest.mark.parametrize("name,relaxed", [("crc", False),
+                                              ("ud", True)],
+                             ids=["crc-exact", "ud-relaxed"])
+    def test_parallel_workers_identical(self, name, relaxed):
+        # No store: each estimator must solve every ILP itself, so the
+        # pooled values are compared with in-process solves, not with
+        # each other's write-through.
+        sequential = PWCETEstimator(
+            load(name), EstimatorConfig(relaxed=relaxed, cache="off"),
+            name=name)
+        parallel = PWCETEstimator(
+            load(name), EstimatorConfig(relaxed=relaxed, workers=2,
+                                        cache="off"), name=name)
         for mechanism in MECHANISMS:
             assert (parallel.fault_miss_map(mechanism).rows
                     == sequential.fault_miss_map(mechanism).rows)
             assert (parallel.estimate(mechanism).pwcet()
                     == sequential.estimate(mechanism).pwcet())
+        assert parallel.solver_stats.ilp_solved \
+            + parallel.solver_stats.lp_solved > 0
+
+    @pytest.mark.parametrize("name", ("ud", "cnt", "minver"))
+    def test_relaxed_cells_dominate_ilp_cells(self, name):
+        """An LP relaxation bounds its ILP from above, cell by cell:
+        snapping solver noise in :func:`ceil_bound` must never take a
+        relaxed value below the exact one."""
+        exact = PWCETEstimator(load(name), EstimatorConfig(cache="off"),
+                               name=name)
+        relaxed = PWCETEstimator(
+            load(name), EstimatorConfig(relaxed=True, cache="off"),
+            name=name)
+        assert relaxed.fault_free_wcet() >= exact.fault_free_wcet()
+        for mechanism in MECHANISMS:
+            for exact_row, relaxed_row in zip(
+                    exact.fault_miss_map(mechanism).rows,
+                    relaxed.fault_miss_map(mechanism).rows):
+                assert all(r >= e for e, r in zip(exact_row, relaxed_row))
+            assert (relaxed.estimate(mechanism).pwcet()
+                    >= exact.estimate(mechanism).pwcet())
 
     def test_relaxed_mode_identical_to_direct_path(self):
         planned = PWCETEstimator(load("ud"), EstimatorConfig(relaxed=True),
@@ -125,6 +155,19 @@ class TestSolveRequest:
         from repro.errors import SolverError
         with pytest.raises(SolverError):
             SolveRequest.from_objective({})
+
+
+class TestCeilBound:
+    @pytest.mark.parametrize("value,expected", [
+        (820.0000000000002, 820),   # HiGHS noise above an integer
+        (54.99999999999999, 55),    # and below one
+        (15.5, 16),                 # a real fraction rounds up
+        (16.000001, 17),            # beyond the 1e-9 relative snap
+    ])
+    def test_snaps_solver_noise_and_rounds_up_otherwise(self, value,
+                                                        expected):
+        from repro.solve.backend import ceil_bound
+        assert ceil_bound(value) == expected
 
 
 def _bounded_program(upper: float = 5.0) -> LinearProgram:
